@@ -1,11 +1,8 @@
-//! Criterion benchmarks for the multi-node cluster simulator: chunked
-//! optimistic vs per-instant barrier vs serial execution on the same
-//! seeded traces (all three produce bit-identical timelines — the
-//! benches time pure engine overhead), the persistent-pool epoch
-//! fan-out vs the legacy per-epoch spawn (the ROADMAP
-//! threads=4-trailing-threads=1 regression was per-epoch spawn/join
-//! overhead), the placement-training environment's episode replay,
-//! and the single-node event loop underneath everything.
+//! Criterion benchmarks for the multi-node cluster simulator: serial
+//! vs pooled epoch fan-out on the same seeded traces (both produce
+//! bit-identical timelines — the benches time pure engine overhead),
+//! the placement-training environment's episode replay, and the
+//! single-node event loop underneath everything.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hrp_bench::cluster::node_dispatcher;
@@ -32,9 +29,9 @@ fn bench_single_node_loop(c: &mut Criterion) {
     });
 }
 
-/// Serial vs pooled vs per-epoch-spawn fan-out: same timeline, three
-/// wall-clocks. The bursty trace maximises the epoch count, which is
-/// exactly where per-epoch spawn/join hurts.
+/// Serial vs pooled fan-out: same timeline, two wall-clocks. The
+/// bursty trace maximises the epoch count, which is where per-epoch
+/// synchronization costs the most.
 fn bench_fanout_modes(c: &mut Criterion) {
     let suite = Suite::paper_suite(&GpuArch::a100());
     let jobs = generate(&suite, &TraceConfig::new(TraceKind::Bursty, JOBS, 42));
@@ -53,20 +50,13 @@ fn bench_fanout_modes(c: &mut Criterion) {
         let sim = MultiNodeSim::new(4, 2).with_pool(Arc::new(WorkerPool::new(4)));
         b.iter(|| black_box(run(&sim)))
     });
-    c.bench_function("cluster_4nodes_spawn4_drain48", |b| {
-        // The legacy path: a fresh scoped spawn per arrival instant.
-        let sim = MultiNodeSim::new(4, 2).with_threads(4).with_epoch_spawn();
-        b.iter(|| black_box(run(&sim)))
-    });
 }
 
-/// Chunked optimistic vs barrier vs serial on the same seeded traces,
-/// all pooled modes sharing ONE worker pool (so the comparison times
-/// the engines, not pool construction). The 100k-job bursty case is
-/// the scale the chunked engine is for: thousands of arrival
-/// instants, so a per-instant barrier pays thousands of fan-out
-/// rounds where chunking pays one per chunk.
-fn bench_chunked_vs_barrier(c: &mut Criterion) {
+/// Serial vs pooled barrier on FCFS nodes at 2k and 100k jobs, the
+/// pooled runs sharing ONE worker pool (so the comparison times the
+/// engine, not pool construction). The 100k-job bursty trace has
+/// thousands of arrival instants, one fan-out round each.
+fn bench_barrier_at_scale(c: &mut Criterion) {
     let suite = Suite::paper_suite(&GpuArch::a100());
     let pool = Arc::new(WorkerPool::new(4));
     let run = |sim: &MultiNodeSim, jobs: &[hrp_cluster::ClusterJob]| {
@@ -86,27 +76,12 @@ fn bench_chunked_vs_barrier(c: &mut Criterion) {
         let sim = MultiNodeSim::new(8, 2).with_pool(Arc::clone(&pool));
         b.iter(|| black_box(run(&sim, &jobs)))
     });
-    c.bench_function("cluster_8nodes_chunked4_fcfs2k", |b| {
-        let sim = MultiNodeSim::new(8, 2)
-            .with_pool(Arc::clone(&pool))
-            .with_chunk_width(64.0);
-        b.iter(|| black_box(run(&sim, &jobs)))
-    });
-    // The ≥100k-job case: thousands of distinct arrival instants,
-    // which is where the per-instant barrier's fan-out count explodes
-    // and the chunked engine's one-round-per-chunk pays off.
     let big = generate(
         &suite,
         &TraceConfig::new(TraceKind::Bursty, 100_000, 42).max_gpus(2),
     );
     c.bench_function("cluster_8nodes_barrier4_fcfs100k", |b| {
         let sim = MultiNodeSim::new(8, 2).with_pool(Arc::clone(&pool));
-        b.iter(|| black_box(run(&sim, &big)))
-    });
-    c.bench_function("cluster_8nodes_chunked4_fcfs100k", |b| {
-        let sim = MultiNodeSim::new(8, 2)
-            .with_pool(Arc::clone(&pool))
-            .with_chunk_width(64.0);
         b.iter(|| black_box(run(&sim, &big)))
     });
 }
@@ -127,7 +102,7 @@ criterion_group!(
     benches,
     bench_single_node_loop,
     bench_fanout_modes,
-    bench_chunked_vs_barrier,
+    bench_barrier_at_scale,
     bench_placement_episode
 );
 criterion_main!(benches);

@@ -1,15 +1,13 @@
-//! The `repro bench-cluster` statistics harness: chunked optimistic
-//! vs barrier vs serial execution of the same large seeded traces.
+//! The `repro bench-cluster` statistics harness: serial vs pooled
+//! fan-out of the barrier engine on the same large seeded traces.
 //!
 //! Each configuration (trace kind × execution mode) is run `reps`
 //! times on identical inputs; wall-clock times are summarised with
-//! [`RunStats`] (mean, standard error, Student-t 95 % CI) and every
-//! mode's merged-timeline digest is checked against serial barrier
-//! mode before any number is reported — a speedup over a *different*
+//! [`RunStats`] (mean, standard error, Student-t 95 % CI) and the
+//! pooled run's merged-timeline digest is checked against the serial
+//! run before any number is reported — a speedup over a *different*
 //! schedule would be meaningless. Alongside the timings the report
-//! carries the logical [`SyncStats`] counters, which are the
-//! machine-checkable form of the chunked mode's claim: strictly fewer
-//! synchronization rounds than the per-instant barrier.
+//! carries the logical [`SyncStats`] counters (identical across modes).
 //!
 //! The harness is deliberately dependency-free: JSON is assembled by
 //! hand (`render_json`) and written to `BENCH_6.json` by the caller.
@@ -41,12 +39,9 @@ pub struct BenchConfig {
     pub seed: u64,
     /// Repetitions per configuration (`0` = the mode default).
     pub reps: usize,
-    /// Worker threads for the pooled modes (`0` = available
+    /// Worker threads for the pooled mode (`0` = available
     /// parallelism).
     pub threads: usize,
-    /// Chunk width of the chunked optimistic mode, in simulated
-    /// seconds.
-    pub chunk_width: f64,
 }
 
 impl BenchConfig {
@@ -77,7 +72,7 @@ impl BenchConfig {
 /// One execution mode's summary on one trace.
 #[derive(Debug, Clone)]
 pub struct ModeResult {
-    /// Mode label: `serial`, `barrier`, or `chunked`.
+    /// Mode label: `serial` or `pooled`.
     pub mode: &'static str,
     /// Wall-clock per run, in milliseconds.
     pub time_ms: RunStats,
@@ -94,7 +89,7 @@ pub struct ModeResult {
 pub struct TraceBench {
     /// The trace kind.
     pub kind: TraceKind,
-    /// `serial`, `barrier`, `chunked` — in that order.
+    /// `serial`, `pooled` — in that order.
     pub modes: Vec<ModeResult>,
 }
 
@@ -103,19 +98,19 @@ pub struct TraceBench {
 pub struct BenchReport {
     /// The configuration that produced it.
     pub cfg: BenchConfig,
-    /// Resolved worker-thread count of the pooled modes.
+    /// Resolved worker-thread count of the pooled mode.
     pub pool_threads: usize,
     /// One entry per kind in [`BENCH_TRACE_KINDS`].
     pub traces: Vec<TraceBench>,
 }
 
-/// The node-local dispatcher of every bench run: FCFS + conservative
-/// backfilling — O(queue) per decision, so a 100k-job trace times the
-/// *engine*, not the dispatcher.
-fn bench_trace(suite: &Suite, kind: TraceKind, cfg: &BenchConfig) -> Vec<ClusterJob> {
+/// One bench trace of `jobs` jobs. Every run schedules it on FCFS +
+/// conservative backfilling nodes — O(queue) per decision, so a
+/// 100k-job trace times the *engine*, not the dispatcher.
+fn bench_trace(suite: &Suite, kind: TraceKind, jobs: usize, seed: u64) -> Vec<ClusterJob> {
     generate(
         suite,
-        &TraceConfig::new(kind, cfg.jobs(), cfg.seed).max_gpus(BENCH_GPUS_PER_NODE),
+        &TraceConfig::new(kind, jobs, seed).max_gpus(BENCH_GPUS_PER_NODE),
     )
 }
 
@@ -149,60 +144,40 @@ fn time_mode(
     }
 }
 
-/// Run the full harness: every trace kind × {serial, barrier,
-/// chunked}, digests cross-checked, pooled modes sharing one
-/// [`WorkerPool`].
+/// Run the full harness: every trace kind × {serial, pooled}, digests
+/// cross-checked.
 ///
 /// # Panics
-/// Panics if any mode's merged timeline diverges from serial barrier
-/// mode (that would be an engine bug, not a measurement).
+/// Panics if the pooled run's merged timeline diverges from the
+/// serial run (that would be an engine bug, not a measurement).
 #[must_use]
 pub fn run_bench(suite: &Suite, cfg: &BenchConfig) -> BenchReport {
-    assert!(
-        cfg.chunk_width.is_finite() && cfg.chunk_width > 0.0,
-        "chunk width must be positive and finite"
-    );
+    bench_traces(suite, cfg, cfg.jobs(), cfg.effective_reps())
+}
+
+/// [`run_bench`] at an explicit trace size and repetition count.
+fn bench_traces(suite: &Suite, cfg: &BenchConfig, jobs: usize, reps: usize) -> BenchReport {
     let pool = Arc::new(WorkerPool::new(cfg.threads));
     let pool_threads = pool.threads();
-    let reps = cfg.effective_reps();
     let traces = BENCH_TRACE_KINDS
         .iter()
         .map(|&kind| {
-            let jobs = bench_trace(suite, kind, cfg);
+            let jobs = bench_trace(suite, kind, jobs, cfg.seed);
             let serial = time_mode(suite, &jobs, "serial", reps, &|| {
                 MultiNodeSim::new(BENCH_NODES, BENCH_GPUS_PER_NODE).with_threads(1)
             });
-            let barrier = time_mode(suite, &jobs, "barrier", reps, &|| {
+            let pooled = time_mode(suite, &jobs, "pooled", reps, &|| {
                 MultiNodeSim::new(BENCH_NODES, BENCH_GPUS_PER_NODE).with_pool(Arc::clone(&pool))
             });
-            let chunked = time_mode(suite, &jobs, "chunked", reps, &|| {
-                MultiNodeSim::new(BENCH_NODES, BENCH_GPUS_PER_NODE)
-                    .with_pool(Arc::clone(&pool))
-                    .with_chunk_width(cfg.chunk_width)
-            });
             assert_eq!(
                 serial.digest,
-                barrier.digest,
-                "{}: barrier-mode digest diverged",
+                pooled.digest,
+                "{}: pooled-mode digest diverged",
                 kind.name()
-            );
-            assert_eq!(
-                serial.digest,
-                chunked.digest,
-                "{}: chunked-mode digest diverged",
-                kind.name()
-            );
-            assert!(
-                chunked.sync.sync_rounds < barrier.sync.sync_rounds,
-                "{}: chunked mode must do strictly fewer sync rounds \
-                 ({} vs {})",
-                kind.name(),
-                chunked.sync.sync_rounds,
-                barrier.sync.sync_rounds
             );
             TraceBench {
                 kind,
-                modes: vec![serial, barrier, chunked],
+                modes: vec![serial, pooled],
             }
         })
         .collect();
@@ -220,12 +195,12 @@ fn jnum(x: f64) -> String {
     format!("{x:?}")
 }
 
-/// Render the report as the `bench-cluster/v1` JSON document.
+/// Render the report as the `bench-cluster/v2` JSON document.
 #[must_use]
 pub fn render_json(report: &BenchReport) -> String {
     let cfg = &report.cfg;
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"bench-cluster/v1\",");
+    let _ = writeln!(out, "  \"schema\": \"bench-cluster/v2\",");
     let _ = writeln!(out, "  \"quick\": {},", cfg.quick);
     let _ = writeln!(out, "  \"seed\": {},", cfg.seed);
     let _ = writeln!(out, "  \"nodes\": {BENCH_NODES},");
@@ -233,7 +208,6 @@ pub fn render_json(report: &BenchReport) -> String {
     let _ = writeln!(out, "  \"jobs\": {},", cfg.jobs());
     let _ = writeln!(out, "  \"reps\": {},", cfg.effective_reps());
     let _ = writeln!(out, "  \"threads\": {},", report.pool_threads);
-    let _ = writeln!(out, "  \"chunk_width\": {},", jnum(cfg.chunk_width));
     let _ = writeln!(out, "  \"rows\": [");
     let mut first = true;
     for t in &report.traces {
@@ -249,8 +223,6 @@ pub fn render_json(report: &BenchReport) -> String {
                  \"mean_ms\": {}, \"std_err_ms\": {}, \
                  \"ci95_lo_ms\": {}, \"ci95_hi_ms\": {}, \
                  \"sync_rounds\": {}, \"node_advances\": {}, \
-                 \"chunks\": {}, \"speculations\": {}, \
-                 \"rollbacks\": {}, \"clean_commits\": {}, \
                  \"digest\": \"{:016x}\"}}",
                 t.kind.name(),
                 m.mode,
@@ -260,10 +232,6 @@ pub fn render_json(report: &BenchReport) -> String {
                 jnum(s.ci95_hi),
                 m.sync.sync_rounds,
                 m.sync.node_advances,
-                m.sync.chunks,
-                m.sync.speculations,
-                m.sync.rollbacks,
-                m.sync.clean_commits,
                 m.digest,
             );
         }
@@ -279,58 +247,27 @@ mod tests {
     use super::*;
     use hrp_gpusim::GpuArch;
 
-    /// A tiny config so the test stays fast; exercises the full path
-    /// (all kinds, all modes, digest cross-check) at reduced scale.
+    /// The full harness path (all kinds, both modes, digest
+    /// cross-check) on 400-job traces and one rep, so the test stays
+    /// fast.
     fn tiny_bench(suite: &Suite) -> BenchReport {
         let cfg = BenchConfig {
             quick: true,
             seed: 42,
             reps: 1,
             threads: 2,
-            chunk_width: 64.0,
         };
-        // Shrink further below BenchConfig::jobs() by bypassing
-        // run_bench's trace sizing: run the real harness on its own
-        // terms but with one rep (the sizing itself is covered by the
-        // schema/CLI tests and CI's --quick run).
-        let pool = Arc::new(WorkerPool::new(cfg.threads));
-        let traces = BENCH_TRACE_KINDS
-            .iter()
-            .map(|&kind| {
-                let jobs = generate(
-                    suite,
-                    &TraceConfig::new(kind, 400, cfg.seed).max_gpus(BENCH_GPUS_PER_NODE),
-                );
-                let serial = time_mode(suite, &jobs, "serial", 1, &|| {
-                    MultiNodeSim::new(BENCH_NODES, BENCH_GPUS_PER_NODE).with_threads(1)
-                });
-                let chunked = time_mode(suite, &jobs, "chunked", 1, &|| {
-                    MultiNodeSim::new(BENCH_NODES, BENCH_GPUS_PER_NODE)
-                        .with_pool(Arc::clone(&pool))
-                        .with_chunk_width(cfg.chunk_width)
-                });
-                assert_eq!(serial.digest, chunked.digest, "{}", kind.name());
-                assert!(chunked.sync.sync_rounds < serial.sync.sync_rounds);
-                TraceBench {
-                    kind,
-                    modes: vec![serial, chunked],
-                }
-            })
-            .collect();
-        BenchReport {
-            cfg,
-            pool_threads: pool.threads(),
-            traces,
-        }
+        bench_traces(suite, &cfg, 400, 1)
     }
 
     #[test]
-    fn harness_modes_agree_and_chunked_syncs_less() {
+    fn harness_modes_agree() {
         let suite = Suite::paper_suite(&GpuArch::a100());
         let report = tiny_bench(&suite);
         assert_eq!(report.traces.len(), 3);
         for t in &report.traces {
             assert_eq!(t.modes[0].digest, t.modes[1].digest);
+            assert_eq!(t.modes[0].sync, t.modes[1].sync);
         }
     }
 
@@ -339,15 +276,13 @@ mod tests {
         let suite = Suite::paper_suite(&GpuArch::a100());
         let json = render_json(&tiny_bench(&suite));
         for field in [
-            "\"schema\": \"bench-cluster/v1\"",
+            "\"schema\": \"bench-cluster/v2\"",
             "\"mean_ms\"",
             "\"std_err_ms\"",
             "\"ci95_lo_ms\"",
             "\"ci95_hi_ms\"",
             "\"sync_rounds\"",
-            "\"rollbacks\"",
             "\"digest\"",
-            "\"chunk_width\"",
         ] {
             assert!(json.contains(field), "missing {field} in:\n{json}");
         }
@@ -372,7 +307,6 @@ mod tests {
             seed: 1,
             reps: 0,
             threads: 0,
-            chunk_width: 64.0,
         };
         assert_eq!(cfg.jobs(), 20_000);
         assert_eq!(cfg.effective_reps(), 3);

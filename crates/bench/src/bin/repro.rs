@@ -5,7 +5,7 @@
 //!       [--env flat|hierarchical] [--nodes N]
 //!       [--selector round-robin|least-loaded|policy|fcfs|easy|conservative]
 //!       [--trace uniform|bursty|skewed|heavy-tail|colocate|staggered]
-//!       [--chunk-width W] [--walltime-err F] [--reps N] [--quantize]
+//!       [--walltime-err F] [--reps N] [--quantize]
 //!       [--source trace|poisson|bursty] [--rate F] [--duration F]
 //!       [--users N] [--user-skew F] [--quota N] [--slo F]
 //!       [--checkpoint PATH] [--restore PATH]
@@ -27,8 +27,8 @@
 //!   oracle    oracle-greedy reference throughput
 //!   cluster   multi-node placement comparison (§VI) vs the
 //!             single-node baseline
-//!   bench-cluster  timing statistics: chunked optimistic vs barrier
-//!             vs serial on large seeded traces; writes BENCH_6.json
+//!   bench-cluster  timing statistics: serial vs pooled barrier
+//!             fan-out on large seeded traces; writes BENCH_6.json
 //!   serve     online scheduler service (hrp-serve): streams arrivals
 //!             through incremental decision cycles; the default bench
 //!             mode writes BENCH_8.json, while --source/--checkpoint/
@@ -67,16 +67,12 @@
 //! valid range `[0, 1)`) perturbs the walltime *estimates* the
 //! planner schedules against by up to ±F of the true duration — the
 //! simulated runtimes themselves never change. With `--nodes 1` the
-//! multi-node path reproduces
-//! the single-node simulator bit-for-bit, and the merged timeline —
-//! and the trained policy — are identical for any `--threads` value.
-//! `--chunk-width W` switches the `cluster` command's run (and sets
-//! the `bench-cluster` chunk size, default 64 simulated seconds) to
-//! the chunked optimistic engine — same timeline, fewer
-//! synchronization rounds. `--reps N` overrides the `bench-cluster`
-//! repetition count (default: 3 with `--quick`, 5 otherwise); the
-//! harness writes its statistics to `BENCH_6.json` in the working
-//! directory.
+//! multi-node path reproduces the single-node simulator bit-for-bit,
+//! and the merged timeline — and the trained policy — are identical
+//! for any `--threads` value. `--reps N` overrides the
+//! `bench-cluster` repetition count (default: 3 with `--quick`, 5
+//! otherwise); the harness writes its statistics to `BENCH_6.json` in
+//! the working directory.
 //!
 //! The `serve` command runs the online scheduler service
 //! (`hrp-serve`). With the default `--source trace` and no checkpoint
@@ -123,10 +119,9 @@
 //! with the exact path; quantization is never on by default.
 //!
 //! Malformed invocations (unknown flags or commands, missing or
-//! unparsable values, `--shards 0`, `--nodes 0`, `--chunk-width 0`
-//! (or negative/non-finite), `--walltime-err` outside `[0, 1)` (or
-//! NaN), `--reps 0`, `--rate`/`--duration` zero, negative, or
-//! non-finite, `--users 0`, `--user-skew` zero, negative, or NaN,
+//! unparsable values, `--shards 0`, `--nodes 0`, `--walltime-err`
+//! outside `[0, 1)` (or NaN), `--reps 0`, `--rate`/`--duration`
+//! zero, negative, or non-finite, `--users 0`, `--user-skew` zero, negative, or NaN,
 //! `--quota 0`, `--slo` zero, negative, or NaN,
 //! `--user-skew`/`--quota`/`--slo` without `--users`,
 //! `--env`/`--selector`/`--trace`/`--source` typos,
@@ -140,6 +135,7 @@ use hrp_bench::eval::{
 };
 use hrp_bench::obs::{fig3_mps_sweep, fig4_bandwidth, fig5_variants, FIG5_MIX};
 use hrp_bench::report::{f3, Table};
+use hrp_cluster::multinode::MAX_NODES;
 use hrp_cluster::trace::TraceKind;
 use hrp_cluster::SelectorKind;
 use hrp_core::actions::{mig_mps_space, mps_only_space, training_search_space};
@@ -172,9 +168,6 @@ struct Options {
     selector: SelectorKind,
     /// Trace kind for the `cluster` command.
     trace: TraceKind,
-    /// Chunked-engine width for `cluster`/`bench-cluster` (`None` =
-    /// barrier mode for `cluster`, 64 s for `bench-cluster`).
-    chunk_width: Option<f64>,
     /// Walltime-estimate error fraction for the backfill selectors.
     walltime_err: f64,
     /// `bench-cluster`/`serve`/`bench-infer` repetitions (`0` = the
@@ -243,7 +236,7 @@ const USAGE: &str = "usage: repro [--quick] [--seed N] [--threads N] [--overlap]
 [--env flat|hierarchical] [--nodes N] \
 [--selector round-robin|least-loaded|policy|fcfs|easy|conservative] \
 [--trace uniform|bursty|skewed|heavy-tail|colocate|staggered] \
-[--chunk-width W] [--walltime-err F] [--reps N] [--quantize] \
+[--walltime-err F] [--reps N] [--quantize] \
 [--source trace|poisson|bursty] [--rate F] [--duration F] \
 [--users N] [--user-skew F] [--quota N] [--slo F] \
 [--checkpoint PATH] [--restore PATH] \
@@ -287,7 +280,6 @@ fn main() {
         nodes: 1,
         selector: SelectorKind::RoundRobin,
         trace: TraceKind::Staggered,
-        chunk_width: None,
         walltime_err: 0.0,
         reps: 0,
         quantize: false,
@@ -332,8 +324,8 @@ fn main() {
             "--nodes" => {
                 let raw = flag_value(&mut it, "--nodes");
                 let n: usize = parse_flag("--nodes", raw);
-                if !(1..=64).contains(&n) {
-                    fail(&format!("--nodes must be in 1..=64 (got '{raw}')"));
+                if !(1..=MAX_NODES).contains(&n) {
+                    fail(&format!("--nodes must be in 1..={MAX_NODES} (got '{raw}')"));
                 }
                 opts.nodes = n;
             }
@@ -346,16 +338,6 @@ fn main() {
                          'fcfs', 'easy', or 'conservative')"
                     ))
                 });
-            }
-            "--chunk-width" => {
-                let raw = flag_value(&mut it, "--chunk-width");
-                let w: f64 = parse_flag("--chunk-width", raw);
-                if !(w.is_finite() && w > 0.0) {
-                    fail(&format!(
-                        "--chunk-width must be positive and finite (got '{raw}')"
-                    ));
-                }
-                opts.chunk_width = Some(w);
             }
             "--walltime-err" => {
                 let raw = flag_value(&mut it, "--walltime-err");
@@ -865,7 +847,6 @@ fn cluster_cmd(suite: &Suite, opts: &Options) {
             seed: opts.seed,
             quick: opts.quick,
             threads: opts.threads,
-            chunk_width: opts.chunk_width,
             walltime_err: opts.walltime_err,
         },
     );
@@ -967,14 +948,12 @@ fn bench_cluster_cmd(suite: &Suite, opts: &Options) {
         seed: opts.seed,
         reps: opts.reps,
         threads: opts.threads,
-        chunk_width: opts.chunk_width.unwrap_or(64.0),
     };
     println!(
-        "# bench-cluster: {} nodes, {} jobs/trace, {} reps, chunk width {}",
+        "# bench-cluster: {} nodes, {} jobs/trace, {} reps",
         BENCH_NODES,
         cfg.jobs(),
-        cfg.effective_reps(),
-        cfg.chunk_width
+        cfg.effective_reps()
     );
     let report = run_bench(suite, &cfg);
     let mut t = Table::new(&[
@@ -985,7 +964,6 @@ fn bench_cluster_cmd(suite: &Suite, opts: &Options) {
         "ci95_lo_ms",
         "ci95_hi_ms",
         "sync_rounds",
-        "rollbacks",
         "digest",
     ]);
     for tr in &report.traces {
@@ -998,7 +976,6 @@ fn bench_cluster_cmd(suite: &Suite, opts: &Options) {
                 f3(m.time_ms.ci95_lo),
                 f3(m.time_ms.ci95_hi),
                 m.sync.sync_rounds.to_string(),
-                m.sync.rollbacks.to_string(),
                 format!("{:016x}", m.digest),
             ]);
         }

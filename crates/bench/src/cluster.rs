@@ -146,9 +146,8 @@ pub fn single_node_baseline(suite: &Suite, jobs: &[ClusterJob]) -> ClusterReport
 /// One comparison row: `jobs` on `nodes` nodes under `selector`, next
 /// to a precomputed single-node `baseline`. `threads` caps the
 /// per-epoch node fan-out (`0` = available parallelism, served by a
-/// persistent worker pool); `chunk_width` switches the run to the
-/// chunked optimistic engine. Results are bit-identical for any
-/// combination of the two (the determinism contract).
+/// persistent worker pool); results are bit-identical for any value
+/// (the determinism contract).
 #[must_use]
 pub fn compare_row(
     suite: &Suite,
@@ -156,13 +155,9 @@ pub fn compare_row(
     nodes: usize,
     selector: &mut dyn hrp_cluster::NodeSelector,
     threads: usize,
-    chunk_width: Option<f64>,
     baseline: ClusterReport,
 ) -> ClusterComparison {
-    let mut sim = MultiNodeSim::new(nodes, GPUS_PER_NODE).with_threads(threads);
-    if let Some(width) = chunk_width {
-        sim = sim.with_chunk_width(width);
-    }
+    let sim = MultiNodeSim::new(nodes, GPUS_PER_NODE).with_threads(threads);
     let report = sim.run(suite, jobs.to_vec(), selector, |_| node_dispatcher());
     ClusterComparison {
         selector: selector.name().to_owned(),
@@ -173,7 +168,7 @@ pub fn compare_row(
 
 /// A backfill comparison row: `jobs` under least-loaded placement
 /// with every node running a [`BackfillPlanner`] of the given policy
-/// over `opts.walltime_err`-noisy estimates. Engine/thread knobs come
+/// over `opts.walltime_err`-noisy estimates. The thread knob comes
 /// from `opts` exactly as in [`compare_row`].
 #[must_use]
 pub fn compare_backfill_row(
@@ -183,10 +178,7 @@ pub fn compare_backfill_row(
     opts: ComparisonOptions,
     baseline: ClusterReport,
 ) -> ClusterComparison {
-    let mut sim = MultiNodeSim::new(opts.nodes, GPUS_PER_NODE).with_threads(opts.threads);
-    if let Some(width) = opts.chunk_width {
-        sim = sim.with_chunk_width(width);
-    }
+    let sim = MultiNodeSim::new(opts.nodes, GPUS_PER_NODE).with_threads(opts.threads);
     let mut selector = hrp_cluster::BackfillTier::new(policy);
     let report = sim.run(suite, jobs.to_vec(), &mut selector, |_| {
         backfill_dispatcher(policy, opts.walltime_err)
@@ -209,7 +201,7 @@ pub fn cluster_compare(
     threads: usize,
 ) -> ClusterComparison {
     let baseline = single_node_baseline(suite, jobs);
-    compare_row(suite, jobs, nodes, selector, threads, None, baseline)
+    compare_row(suite, jobs, nodes, selector, threads, baseline)
 }
 
 /// The full placement comparison behind `repro cluster`: the evaluated
@@ -236,9 +228,6 @@ pub struct ComparisonOptions {
     /// Epoch fan-out / rollout worker cap (`0` = auto; results are
     /// identical for any value).
     pub threads: usize,
-    /// Chunk width of the chunked optimistic engine; `None` keeps the
-    /// per-instant barrier. Results are identical either way.
-    pub chunk_width: Option<f64>,
     /// Walltime-estimate error fraction (`[0, 1)`) the backfill rows
     /// schedule under; ignored by the non-backfill selectors.
     pub walltime_err: f64,
@@ -278,7 +267,6 @@ pub fn placement_comparison(
                     opts.nodes,
                     &mut sel,
                     opts.threads,
-                    opts.chunk_width,
                     baseline.clone(),
                 )
             } else if let Some(policy) = kind.backfill_policy() {
@@ -291,7 +279,6 @@ pub fn placement_comparison(
                     opts.nodes,
                     sel.as_mut(),
                     opts.threads,
-                    opts.chunk_width,
                     baseline.clone(),
                 )
             }
@@ -335,20 +322,15 @@ mod tests {
     }
 
     #[test]
-    fn chunked_comparison_row_matches_barrier_bit_for_bit() {
+    fn pooled_comparison_row_matches_serial_bit_for_bit() {
         let suite = Suite::paper_suite(&GpuArch::a100());
         let jobs = evaluation_trace(&suite, TraceKind::Bursty, 32, 42);
         let baseline = single_node_baseline(&suite, &jobs);
         let mut a = SelectorKind::LeastLoaded.build();
         let mut b = SelectorKind::LeastLoaded.build();
-        let barrier = compare_row(&suite, &jobs, 4, a.as_mut(), 1, None, baseline.clone());
-        let chunked = compare_row(&suite, &jobs, 4, b.as_mut(), 1, Some(25.0), baseline);
-        assert_eq!(
-            barrier.report.timeline.digest(),
-            chunked.report.timeline.digest()
-        );
-        assert_eq!(barrier.report.aggregate, chunked.report.aggregate);
-        assert!(chunked.report.sync.sync_rounds < barrier.report.sync.sync_rounds);
+        let serial = compare_row(&suite, &jobs, 4, a.as_mut(), 1, baseline.clone());
+        let pooled = compare_row(&suite, &jobs, 4, b.as_mut(), 4, baseline);
+        assert_eq!(serial.report, pooled.report);
     }
 
     fn quick_opts(walltime_err: f64) -> ComparisonOptions {
@@ -357,7 +339,6 @@ mod tests {
             seed: 42,
             quick: true,
             threads: 1,
-            chunk_width: None,
             walltime_err,
         }
     }

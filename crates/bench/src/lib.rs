@@ -11,7 +11,7 @@
 //!   (`repro cluster --nodes N --selector X` vs the single-node
 //!   baseline);
 //! * [`bench_cluster`] — the `repro bench-cluster` statistics harness
-//!   (chunked optimistic vs barrier vs serial on large seeded traces,
+//!   (serial vs pooled barrier fan-out on large seeded traces,
 //!   persisted as `BENCH_6.json`);
 //! * [`serve`] — the `repro serve` online-service harness (sustained
 //!   decisions/sec and decision-latency percentiles of the `hrp-serve`

@@ -112,8 +112,8 @@ impl BackfillPolicy {
 ///
 /// Reordering is *within* an arrival burst only (jobs whose arrival
 /// times are bitwise equal, the same grouping the epoch driver uses),
-/// so arrival causality — and with it the chunked/barrier engine
-/// equivalence — is untouched.
+/// so arrival causality — and with it thread-count invariance — is
+/// untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum QueueOrder {
     /// Submission order (the default; bit-identical to the pre-hook
@@ -180,10 +180,9 @@ impl QueueOrder {
 /// A backfilling [`Dispatcher`]: plans the node's queue through a
 /// fresh [`TreeSlotSet`] release profile on every decision.
 ///
-/// The planner is `Clone` and a pure function of its inputs plus its
-/// own bookkeeping, so the chunked optimistic engine can snapshot and
-/// replay it bit-for-bit (determinism contract point 8 in
-/// ARCHITECTURE.md).
+/// The planner is a pure function of its inputs plus its own
+/// bookkeeping, so every run replays it bit-for-bit (determinism
+/// contract point 7 in ARCHITECTURE.md).
 #[derive(Debug, Clone)]
 pub struct BackfillPlanner {
     policy: BackfillPolicy,

@@ -18,13 +18,13 @@
 //!   order. Reordering is confined to a burst — jobs with bitwise
 //!   equal arrival times — exactly like
 //!   [`crate::backfill::QueueOrder`], so the determinism contract
-//!   (bit-identical timelines for any threads / chunk width / cycle
-//!   mode) survives: see ARCHITECTURE.md contract point 10.
+//!   (bit-identical timelines for any threads / cycle mode) survives:
+//!   see ARCHITECTURE.md contract point 9.
 //! * [`apply_fair_order`] — the batch-side hook: walk an
 //!   arrival-sorted job list burst by burst, order each burst by
 //!   karma, charge each tenant as its jobs pass the door. Used by
 //!   [`crate::multinode::MultiNodeSim::with_fair_order`] upstream of
-//!   the engine split, and the oracle the service's ordering is pinned
+//!   the barrier loop, and the oracle the service's ordering is pinned
 //!   against.
 //! * [`jain_index`] / [`user_fairness`] — Jain's fairness index and
 //!   per-user slowdown aggregation over a finished cluster timeline,

@@ -131,7 +131,8 @@ impl<'a, D: Dispatcher + Send> ClusterEnv<'a, D> {
     ///
     /// # Panics
     /// Panics if `trace` is empty or unsorted, if `nodes` is outside
-    /// `1..=64`, or if any job cannot fit on a node.
+    /// `1..=`[`MAX_NODES`](crate::multinode::MAX_NODES), or if any job
+    /// cannot fit on a node.
     pub fn new(
         suite: &'a Suite,
         nodes: usize,

@@ -36,8 +36,14 @@
 //! every new spec key defaults to the legacy behaviour and the `user`
 //! field is only decoded for v2 bodies. The spec is parsed defensively
 //! — out-of-range values (a forged source position past the trace, a
-//! zero quota, a non-finite rate) surface as [`CheckpointError::Spec`]
-//! rather than tripping builder asserts.
+//! zero quota, a non-finite rate, more than [`MAX_NODES`] nodes)
+//! surface as [`CheckpointError::Spec`] rather than tripping builder
+//! asserts.
+//!
+//! Older writers also emitted `chunks`, `speculations`, `rollbacks` and
+//! `clean_commits` sync counters, left over from a since-removed
+//! chunked multi-node engine (always 0 in the service). The reader
+//! ignores unknown spec keys, so those blobs restore unchanged.
 
 use crate::service::{
     dispatcher_for, AdmissionConfig, AdmissionState, CycleMode, SchedulerService, SelectorState,
@@ -48,7 +54,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hrp_cluster::backfill::BackfillState;
 use hrp_cluster::fair::{FairConfig, FairShare, FairShareState};
 use hrp_cluster::job::ClusterJob;
-use hrp_cluster::multinode::{ClusterDrive, SyncStats};
+use hrp_cluster::multinode::{ClusterDrive, SyncStats, MAX_NODES};
 use hrp_cluster::place::{PlacementDispatcher, PlacementExperiment};
 use hrp_cluster::select::{NodeLoad, RoundRobin, SelectorKind};
 use hrp_cluster::sim::{EventKind, NodeEvent, NodeRunState};
@@ -116,10 +122,6 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
         kv("placed", self.drive.placed().to_string());
         kv("sync_rounds", sync.sync_rounds.to_string());
         kv("node_advances", sync.node_advances.to_string());
-        kv("chunks", sync.chunks.to_string());
-        kv("speculations", sync.speculations.to_string());
-        kv("rollbacks", sync.rollbacks.to_string());
-        kv("clean_commits", sync.clean_commits.to_string());
         kv("last_cycle_bits", self.last_cycle.to_bits().to_string());
         kv(
             "has_lookahead",
@@ -217,7 +219,7 @@ pub fn restore(
     let gpus_per_node = get_usize(&spec, "gpus_per_node")?;
     let walltime_err = get_f64(&spec, "walltime_err")?;
     ensure(
-        (1..=4096).contains(&nodes),
+        (1..=MAX_NODES).contains(&nodes),
         format!("nodes {nodes} out of range"),
     )?;
     ensure(
@@ -268,10 +270,6 @@ pub fn restore(
     let sync = SyncStats {
         sync_rounds: get_u64(&spec, "sync_rounds")?,
         node_advances: get_u64(&spec, "node_advances")?,
-        chunks: get_u64(&spec, "chunks")?,
-        speculations: get_u64(&spec, "speculations")?,
-        rollbacks: get_u64(&spec, "rollbacks")?,
-        clean_commits: get_u64(&spec, "clean_commits")?,
     };
     let placed = get_usize(&spec, "placed")?;
     let last_cycle = f64::from_bits(get_u64(&spec, "last_cycle_bits")?);
@@ -1203,10 +1201,42 @@ mod tests {
         }
     }
 
-    /// A version-1 blob — no tenant fields, no admission keys — still
-    /// restores. A fresh (unstepped) service's body carries no job
-    /// records, so stripping the v2 spec keys and rewriting the version
-    /// word reproduces the v1 encoding exactly.
+    /// Re-encode `blob` with a new version word and spec text, keeping
+    /// its body verbatim.
+    fn respec(blob: &Bytes, version: u32, spec: &str) -> Bytes {
+        let spec_len = u32::from_le_bytes(blob[8..12].try_into().unwrap()) as usize;
+        let mut out = BytesMut::with_capacity(blob.len());
+        out.put_slice(MAGIC);
+        out.put_u32_le(version);
+        out.put_u32_le(spec.len() as u32);
+        out.put_slice(spec.as_bytes());
+        out.put_slice(&blob[12 + spec_len..]);
+        out.freeze()
+    }
+
+    /// `blob`'s spec lines, with the four speculation counters older
+    /// writers emitted after `node_advances` put back in.
+    fn spec_lines_with_speculation_keys(blob: &Bytes) -> Vec<String> {
+        let spec_len = u32::from_le_bytes(blob[8..12].try_into().unwrap()) as usize;
+        let spec = std::str::from_utf8(&blob[12..12 + spec_len]).unwrap();
+        let mut lines = Vec::new();
+        for line in spec.lines() {
+            lines.push(line.to_owned());
+            if line.starts_with("node_advances=") {
+                for key in ["chunks", "speculations", "rollbacks", "clean_commits"] {
+                    lines.push(format!("{key}=0"));
+                }
+            }
+        }
+        assert_eq!(lines.len(), spec.lines().count() + 4);
+        lines
+    }
+
+    /// A version-1 blob — no tenant fields, no admission keys, but the
+    /// speculation counters — still restores. A fresh (unstepped)
+    /// service's body carries no job records, so stripping the v2 spec
+    /// keys and rewriting the version word reproduces the v1 encoding
+    /// exactly.
     #[test]
     fn legacy_v1_blobs_still_restore() {
         let s = suite();
@@ -1219,33 +1249,90 @@ mod tests {
         let blob = svc.checkpoint().expect("checkpointable");
         let uninterrupted = drain(svc);
 
-        let spec_len = u32::from_le_bytes(blob[8..12].try_into().unwrap()) as usize;
-        let spec = std::str::from_utf8(&blob[12..12 + spec_len]).unwrap();
-        let v1_keys = [
+        let v2_keys = [
             "deferred=",
             "rejected=",
             "admission=",
             "src_users=",
             "src_user_skew=",
         ];
-        let v1_spec: String = spec
-            .lines()
-            .filter(|line| !v1_keys.iter().any(|k| line.starts_with(k)))
+        let v1_spec: String = spec_lines_with_speculation_keys(&blob)
+            .into_iter()
+            .filter(|line| !v2_keys.iter().any(|k| line.starts_with(k)))
             .map(|line| format!("{line}\n"))
             .collect();
-        let mut v1 = BytesMut::with_capacity(blob.len());
-        v1.put_slice(MAGIC);
-        v1.put_u32_le(1);
-        v1.put_u32_le(v1_spec.len() as u32);
-        v1.put_slice(v1_spec.as_bytes());
-        v1.put_slice(&blob[12 + spec_len..]);
 
-        let resumed = drain(restore(&s, v1.freeze()).expect("legacy blob restores"));
+        let resumed = drain(restore(&s, respec(&blob, 1, &v1_spec)).expect("legacy blob restores"));
         assert_eq!(
             resumed.report.timeline.digest(),
             uninterrupted.report.timeline.digest(),
             "legacy restore diverged"
         );
         assert!(resumed.admission.is_none(), "v1 has no admission tier");
+    }
+
+    /// A version-2 blob as older writers encoded it mid-run — with the
+    /// `chunks`/`speculations`/`rollbacks`/`clean_commits` spec keys —
+    /// restores bit-exactly.
+    #[test]
+    fn v2_blobs_with_speculation_counters_still_restore() {
+        let s = suite();
+        let mut svc = SchedulerService::new(
+            &s,
+            ServeConfig::new(4, 2).admission(crate::service::AdmissionConfig::new().quota(2)),
+            SelectorKind::LeastLoaded,
+            TraceSource::new(&s, trace_cfg(TraceKind::Bursty, 60, 7).users(3)),
+        );
+        while svc.consumed() < 30 {
+            let _ = svc.step();
+        }
+        let blob = svc.checkpoint().expect("checkpointable");
+        let uninterrupted = drain(svc);
+
+        let old_spec: String = spec_lines_with_speculation_keys(&blob)
+            .into_iter()
+            .map(|line| format!("{line}\n"))
+            .collect();
+        let resumed = drain(restore(&s, respec(&blob, 2, &old_spec)).expect("old blob restores"));
+        assert_eq!(
+            resumed.report.timeline.digest(),
+            uninterrupted.report.timeline.digest(),
+            "restore of the older encoding diverged"
+        );
+        assert_eq!(resumed.report, uninterrupted.report);
+        assert_eq!(resumed.stats, uninterrupted.stats);
+        assert_eq!(
+            resumed.admission.map(|a| a.digest),
+            uninterrupted.admission.map(|a| a.digest)
+        );
+    }
+
+    /// A structurally complete blob for one node more than the cluster
+    /// engine supports — a fresh 64-node blob plus one more idle-node
+    /// body section, spec tampered to `nodes=65` — is a spec error,
+    /// not a panic in the drive rebuild.
+    #[test]
+    fn forged_oversized_clusters_error_instead_of_panicking() {
+        let s = suite();
+        let svc = SchedulerService::new(
+            &s,
+            ServeConfig::new(MAX_NODES, 2),
+            SelectorKind::LeastLoaded,
+            TraceSource::new(&s, trace_cfg(TraceKind::Uniform, 20, 3)),
+        );
+        let blob = svc.checkpoint().expect("checkpointable");
+        let idle = svc.drive.with_node(MAX_NODES - 1, |run| run.export_state());
+        let mut grown = BytesMut::with_capacity(blob.len() + 256);
+        grown.put_slice(&blob);
+        put_node_state(&mut grown, &idle);
+        put_load(&mut grown, &svc.drive.loads()[MAX_NODES - 1]);
+        put_dispatcher(&mut grown, &DispatcherState::CoSched { windows: 0 });
+        let forged = tamper(&grown.freeze(), "nodes", &(MAX_NODES + 1).to_string());
+        match restore(&s, forged).map(|_| ()) {
+            Err(CheckpointError::Spec(msg)) => {
+                assert!(msg.contains("nodes 65"), "names the node count: {msg}")
+            }
+            other => panic!("expected a spec error, got {other:?}"),
+        }
     }
 }

@@ -208,7 +208,7 @@ impl AdmissionConfig {
 /// Service geometry and cycle policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Cluster nodes (1..=64).
+    /// Cluster nodes (1..=[`MAX_NODES`](hrp_cluster::multinode::MAX_NODES)).
     pub nodes: usize,
     /// GPUs per node.
     pub gpus_per_node: usize,
@@ -440,7 +440,7 @@ pub struct AdmissionOutcome {
     /// Rolling FNV-1a digest over every admission decision
     /// `(job id, admission instant bits, user)` in order — the
     /// checkpointed fingerprint the fairness contract pins across
-    /// threads, chunk widths, cycle modes, and kill/restore.
+    /// threads, cycle modes, and kill/restore.
     pub digest: u64,
     /// The *effective* admitted trace: every admitted job with its
     /// arrival rewritten to the admission instant, in placement
@@ -572,7 +572,8 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
     /// # Panics
     /// Panics for [`SelectorKind::Policy`] (use
     /// [`SchedulerService::with_agent`]) and on geometry the cluster
-    /// rejects (0 or more than 64 nodes).
+    /// rejects (0 or more than
+    /// [`MAX_NODES`](hrp_cluster::multinode::MAX_NODES) nodes).
     #[must_use]
     pub fn new(suite: &'a Suite, cfg: ServeConfig, kind: SelectorKind, source: S) -> Self {
         Self::build(suite, cfg, SelectorState::from_kind(kind), source)

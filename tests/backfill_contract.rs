@@ -14,9 +14,9 @@
 //! * advance reservations carve out exactly the promised capacity:
 //!   occupancy inside the reserved window never exceeds
 //!   `total - reserved`;
-//! * merged timelines are bit-identical across thread counts, chunk
-//!   widths, and fan-out modes — the backfilling dispatcher plugs into
-//!   both DES engines without perturbing the determinism contract.
+//! * merged timelines are bit-identical across thread counts and
+//!   fan-out modes — the backfilling dispatcher plugs into the
+//!   multi-node engine without perturbing the determinism contract.
 //!
 //! Set `HRP_TEST_THREADS` to pick the parallel worker count the
 //! invariance cases exercise (CI runs the suite under 1 and 4).
@@ -270,16 +270,12 @@ proptest! {
     }
 
     #[test]
-    fn timelines_are_invariant_to_threads_chunks_and_fanout(
+    fn timelines_are_invariant_to_threads_and_fanout(
         shape in shape_strategy(),
         nodes in 1usize..=4,
         policy_idx in 1usize..3,
         err_idx in 0usize..3,
         reserve in any::<bool>(),
-        // Spans sub-instant widths (every chunk is one arrival burst)
-        // through widths swallowing the whole trace in one chunk.
-        chunk_width in (0.1f64..40.0, 0usize..4)
-            .prop_map(|(w, pick)| if pick == 0 { 1e9 } else { w }),
     ) {
         let s = suite();
         let policy = POLICIES[policy_idx];
@@ -287,7 +283,7 @@ proptest! {
         let dispatcher = move |_node: usize| {
             let d = BackfillPlanner::new(policy, GPUS).with_walltime_err(err);
             // A mid-trace full-width reservation exercises the
-            // next_wakeup idle-drain hint under every engine.
+            // next_wakeup idle-drain hint under every fan-out.
             if reserve {
                 d.with_reservation(10.0, 15.0, GPUS)
             } else {
@@ -301,26 +297,10 @@ proptest! {
         let serial = run(MultiNodeSim::new(nodes, GPUS).with_threads(1));
         for threads in [test_threads(), 0] {
             let got = run(MultiNodeSim::new(nodes, GPUS).with_threads(threads));
-            prop_assert_eq!(&got, &serial, "barrier engine drifted at {} threads", threads);
+            prop_assert_eq!(&got, &serial, "pooled fan-out drifted at {} threads", threads);
         }
-        let spawned = run(
-            MultiNodeSim::new(nodes, GPUS)
-                .with_threads(test_threads())
-                .with_epoch_spawn(),
-        );
-        prop_assert_eq!(&spawned, &serial, "per-epoch spawn fan-out drifted");
-        for threads in [1, test_threads()] {
-            let chunked = run(
-                MultiNodeSim::new(nodes, GPUS)
-                    .with_threads(threads)
-                    .with_chunk_width(chunk_width),
-            );
-            prop_assert_eq!(
-                &chunked.timeline.events, &serial.timeline.events,
-                "chunked engine drifted (width {}, {} threads)", chunk_width, threads
-            );
-            prop_assert_eq!(chunked.timeline.digest(), serial.timeline.digest());
-            prop_assert_eq!(&chunked.aggregate, &serial.aggregate);
-        }
+        let shared = run(MultiNodeSim::new(nodes, GPUS)
+            .with_pool(std::sync::Arc::new(hrp::core::par::WorkerPool::new(test_threads()))));
+        prop_assert_eq!(&shared, &serial, "shared-pool fan-out drifted");
     }
 }

@@ -106,13 +106,10 @@ fn four_node_schedules_match_the_golden_pin_for_any_thread_count() {
 }
 
 /// Golden pin for one *large* skewed trace (5000 jobs, 8 FCFS nodes,
-/// least-loaded placement): the scale regime the chunked optimistic
-/// engine targets. Captured from the barrier engine at the point the
-/// chunked engine landed; barrier mode must keep reproducing it, and
-/// the chunked engine must reproduce it bit-for-bit at every tested
-/// chunk width while doing strictly fewer synchronization rounds.
+/// least-loaded placement), reproduced bit-for-bit at
+/// `HRP_TEST_THREADS` workers.
 #[test]
-fn large_skewed_trace_matches_the_golden_pin_in_both_engines() {
+fn large_skewed_trace_matches_the_golden_pin() {
     const DIGEST: u64 = 0x841a_9d30_d786_e4b9;
     const EVENTS: usize = 15_000;
     const MAKESPAN: u64 = 0x40d4_3ada_cfb3_7d18; // 20715.418927…
@@ -122,36 +119,18 @@ fn large_skewed_trace_matches_the_golden_pin_in_both_engines() {
         &suite,
         &TraceConfig::new(TraceKind::Skewed, 5000, 42).max_gpus(2),
     );
-    let run = |width: Option<f64>| {
-        let mut sel = SelectorKind::LeastLoaded.build();
-        let mut sim = MultiNodeSim::new(8, 2).with_threads(test_threads());
-        if let Some(w) = width {
-            sim = sim.with_chunk_width(w);
-        }
-        sim.run(&suite, jobs.clone(), sel.as_mut(), |_| FcfsBackfill::new())
-    };
-    let barrier = run(None);
+    let mut sel = SelectorKind::LeastLoaded.build();
+    let barrier = MultiNodeSim::new(8, 2).with_threads(test_threads()).run(
+        &suite,
+        jobs,
+        sel.as_mut(),
+        |_| FcfsBackfill::new(),
+    );
     assert_eq!(barrier.timeline.digest(), DIGEST, "barrier digest drifted");
     assert_eq!(barrier.timeline.len(), EVENTS);
     assert_eq!(barrier.aggregate.makespan.to_bits(), MAKESPAN);
     assert_eq!(barrier.aggregate.avg_wait.to_bits(), AVG_WAIT);
     assert_eq!(barrier.aggregate.placements, 5000);
-    for width in [7.0, 64.0, 1e5] {
-        let chunked = run(Some(width));
-        assert_eq!(
-            chunked.timeline.digest(),
-            DIGEST,
-            "chunked digest drifted at width {width}"
-        );
-        assert_eq!(chunked.aggregate, barrier.aggregate, "width {width}");
-        assert_eq!(chunked.per_node, barrier.per_node, "width {width}");
-        assert!(
-            chunked.sync.sync_rounds < barrier.sync.sync_rounds,
-            "width {width}: {} vs {} rounds",
-            chunked.sync.sync_rounds,
-            barrier.sync.sync_rounds
-        );
-    }
 }
 
 #[test]

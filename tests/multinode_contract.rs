@@ -7,12 +7,8 @@
 //!   single-node simulator on the same trace;
 //! * completed jobs are conserved across any selector: every job
 //!   arrives once, starts once, and finishes once;
-//! * the epoch fan-out mode — serial, persistent worker pool, or the
-//!   legacy per-epoch scoped spawn — never moves an event;
-//! * the chunked optimistic engine reproduces the per-instant barrier
-//!   timeline bit-for-bit for arbitrary chunk widths, selectors,
-//!   trace kinds, and thread counts — and at scale does strictly less
-//!   synchronization work (the reported `SyncStats` counters).
+//! * the epoch fan-out mode — serial, a per-run worker pool, or a
+//!   shared caller-owned pool — never moves an event.
 //!
 //! (`tests/trace_contract.rs` extends the same guarantees to generated
 //! traces and the RL `PolicySelector`.)
@@ -26,8 +22,7 @@ use common::test_threads;
 use hrp::cluster::multinode::MultiNodeSim;
 use hrp::cluster::select::{LeastLoaded, RoundRobin};
 use hrp::cluster::sim::{ClusterSim, EventKind};
-use hrp::cluster::trace::{generate, TraceConfig, TraceKind};
-use hrp::cluster::{ClusterJob, CoSchedulingDispatcher, FcfsBackfill, SelectorKind};
+use hrp::cluster::{ClusterJob, CoSchedulingDispatcher, SelectorKind};
 use hrp::prelude::*;
 use proptest::prelude::*;
 
@@ -116,8 +111,8 @@ proptest! {
         shape in shape_strategy(),
         nodes in 1usize..=4,
     ) {
-        // Serial, pooled (the with_threads default), shared pool, and
-        // the legacy per-epoch spawn must all merge to one timeline.
+        // Serial, pooled (the with_threads default), and a shared
+        // pool must all merge to one timeline.
         let s = suite();
         let threads = test_threads();
         let run = |sim: MultiNodeSim| {
@@ -126,80 +121,10 @@ proptest! {
         };
         let serial = run(MultiNodeSim::new(nodes, 2));
         let pooled = run(MultiNodeSim::new(nodes, 2).with_threads(threads));
-        let spawned = run(MultiNodeSim::new(nodes, 2).with_threads(threads).with_epoch_spawn());
         let shared = run(MultiNodeSim::new(nodes, 2)
             .with_pool(std::sync::Arc::new(hrp::core::par::WorkerPool::new(threads))));
         prop_assert_eq!(&pooled, &serial, "pooled fan-out drifted");
-        prop_assert_eq!(&spawned, &serial, "per-epoch spawn drifted");
         prop_assert_eq!(&shared, &serial, "shared-pool fan-out drifted");
-    }
-
-    #[test]
-    fn chunked_engine_reproduces_the_barrier_timeline(
-        shape in shape_strategy(),
-        nodes in 1usize..=4,
-        least_loaded in any::<bool>(),
-        // Spans sub-instant widths (every chunk is one arrival burst)
-        // through widths swallowing the whole trace in one chunk.
-        chunk_width in (0.1f64..40.0, 0usize..4)
-            .prop_map(|(w, pick)| if pick == 0 { 1e9 } else { w }),
-    ) {
-        let s = suite();
-        let kind = if least_loaded { SelectorKind::LeastLoaded } else { SelectorKind::RoundRobin };
-        let barrier = {
-            let mut sel = kind.build();
-            MultiNodeSim::new(nodes, 2)
-                .with_threads(1)
-                .run(&s, trace(&s, &shape), sel.as_mut(), |_| dispatcher())
-        };
-        for threads in [1, test_threads()] {
-            let mut sel = kind.build();
-            let chunked = MultiNodeSim::new(nodes, 2)
-                .with_threads(threads)
-                .with_chunk_width(chunk_width)
-                .run(&s, trace(&s, &shape), sel.as_mut(), |_| dispatcher());
-            prop_assert_eq!(&chunked.timeline.events, &barrier.timeline.events,
-                "chunked timeline drifted (width {}, {} threads)", chunk_width, threads);
-            prop_assert_eq!(chunked.timeline.digest(), barrier.timeline.digest());
-            prop_assert_eq!(&chunked.per_node, &barrier.per_node);
-            prop_assert_eq!(&chunked.aggregate, &barrier.aggregate);
-            // Speculation bookkeeping is internally consistent.
-            prop_assert_eq!(
-                chunked.sync.clean_commits + chunked.sync.rollbacks,
-                chunked.sync.speculations
-            );
-        }
-    }
-
-    #[test]
-    fn chunked_engine_handles_generated_trace_kinds(
-        kind_idx in 0usize..6,
-        n_jobs in 1usize..=48,
-        seed in 0u64..u64::MAX,
-        chunk_width in 0.5f64..200.0,
-    ) {
-        // The generator kinds stress patterns the synthetic shapes
-        // don't: bursts of simultaneous arrivals, heavy-tail gaps,
-        // zipf-skewed benchmark picks.
-        let s = suite();
-        let kinds = [
-            TraceKind::Uniform, TraceKind::Bursty, TraceKind::Skewed,
-            TraceKind::HeavyTail, TraceKind::Colocate, TraceKind::Staggered,
-        ];
-        let jobs = generate(&s, &TraceConfig::new(kinds[kind_idx], n_jobs, seed).max_gpus(2));
-        let run = |width: Option<f64>| {
-            let mut sel = SelectorKind::LeastLoaded.build();
-            let mut sim = MultiNodeSim::new(3, 2).with_threads(test_threads());
-            if let Some(w) = width {
-                sim = sim.with_chunk_width(w);
-            }
-            sim.run(&s, jobs.clone(), sel.as_mut(), |_| FcfsBackfill::new())
-        };
-        let barrier = run(None);
-        let chunked = run(Some(chunk_width));
-        prop_assert_eq!(&chunked.timeline.events, &barrier.timeline.events,
-            "{} trace drifted under chunking", kinds[kind_idx].name());
-        prop_assert_eq!(&chunked.aggregate, &barrier.aggregate);
     }
 
     #[test]
@@ -244,47 +169,4 @@ proptest! {
             report.per_node.iter().map(|p| p.placements).sum::<usize>()
         );
     }
-}
-
-/// The at-scale acceptance pin: on a 100k-job bursty trace across 8
-/// FCFS nodes at 4 threads, the chunked engine merges to the exact
-/// barrier timeline while doing strictly less barrier-synchronization
-/// work — fewer fan-out rounds *and* fewer per-node advance calls,
-/// straight from the reported counters.
-#[test]
-fn chunked_engine_does_strictly_less_sync_work_at_100k_jobs() {
-    let s = suite();
-    let jobs = generate(
-        &s,
-        &TraceConfig::new(TraceKind::Bursty, 100_000, 42).max_gpus(2),
-    );
-    let run = |width: Option<f64>| {
-        let mut sel = SelectorKind::LeastLoaded.build();
-        let mut sim = MultiNodeSim::new(8, 2).with_threads(4);
-        if let Some(w) = width {
-            sim = sim.with_chunk_width(w);
-        }
-        sim.run(&s, jobs.clone(), sel.as_mut(), |_| FcfsBackfill::new())
-    };
-    let barrier = run(None);
-    let chunked = run(Some(64.0));
-    assert_eq!(chunked.timeline.digest(), barrier.timeline.digest());
-    assert_eq!(chunked.aggregate, barrier.aggregate);
-    assert_eq!(chunked.completed_jobs(), 100_000);
-    assert!(
-        chunked.sync.sync_rounds < barrier.sync.sync_rounds,
-        "chunked must synchronize less: {} vs {} rounds",
-        chunked.sync.sync_rounds,
-        barrier.sync.sync_rounds
-    );
-    assert!(
-        chunked.sync.node_advances < barrier.sync.node_advances,
-        "chunked must advance less: {} vs {}",
-        chunked.sync.node_advances,
-        barrier.sync.node_advances
-    );
-    // The chunk count bounds the round count: speculate rounds plus
-    // the final drain round.
-    assert!(chunked.sync.chunks > 0);
-    assert!(chunked.sync.sync_rounds <= chunked.sync.chunks + 1);
 }
