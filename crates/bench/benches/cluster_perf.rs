@@ -1,7 +1,6 @@
-//! Criterion benchmarks for the multi-node cluster simulator: serial
-//! vs pooled epoch fan-out on the same seeded traces (both produce
-//! bit-identical timelines — the benches time pure engine overhead),
-//! the placement-training environment's episode replay, and the
+//! Criterion benchmarks for the multi-node cluster simulator: the
+//! barrier engine on seeded traces from 48 to 100k jobs, the
+//! placement-training environment's episode replay, and the
 //! single-node event loop underneath everything.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -11,10 +10,8 @@ use hrp_cluster::place::{PlacementAgent, PlacementConfig};
 use hrp_cluster::sim::ClusterSim;
 use hrp_cluster::trace::{generate, TraceConfig, TraceKind};
 use hrp_cluster::{FcfsBackfill, SelectorKind};
-use hrp_core::par::WorkerPool;
 use hrp_gpusim::GpuArch;
 use hrp_workloads::Suite;
-use std::sync::Arc;
 
 const JOBS: usize = 48;
 
@@ -29,10 +26,9 @@ fn bench_single_node_loop(c: &mut Criterion) {
     });
 }
 
-/// Serial vs pooled fan-out: same timeline, two wall-clocks. The
-/// bursty trace maximises the epoch count, which is where per-epoch
-/// synchronization costs the most.
-fn bench_fanout_modes(c: &mut Criterion) {
+/// Four co-scheduling nodes on a bursty trace, which maximises the
+/// epoch count per job.
+fn bench_four_nodes(c: &mut Criterion) {
     let suite = Suite::paper_suite(&GpuArch::a100());
     let jobs = generate(&suite, &TraceConfig::new(TraceKind::Bursty, JOBS, 42));
     let run = |sim: &MultiNodeSim| {
@@ -43,45 +39,32 @@ fn bench_fanout_modes(c: &mut Criterion) {
         let sim = MultiNodeSim::new(4, 2);
         b.iter(|| black_box(run(&sim)))
     });
-    c.bench_function("cluster_4nodes_pool4_drain48", |b| {
-        // The pool is created once and shared across iterations — the
-        // steady-state cost of `with_threads(4)` inside a long-lived
-        // process.
-        let sim = MultiNodeSim::new(4, 2).with_pool(Arc::new(WorkerPool::new(4)));
-        b.iter(|| black_box(run(&sim)))
-    });
 }
 
-/// Serial vs pooled barrier on FCFS nodes at 2k and 100k jobs, the
-/// pooled runs sharing ONE worker pool (so the comparison times the
-/// engine, not pool construction). The 100k-job bursty trace has
-/// thousands of arrival instants, one fan-out round each.
+/// The barrier on FCFS nodes at 2k and 100k jobs. The 100k-job
+/// bursty trace has thousands of arrival instants, one barrier round
+/// each.
 fn bench_barrier_at_scale(c: &mut Criterion) {
     let suite = Suite::paper_suite(&GpuArch::a100());
-    let pool = Arc::new(WorkerPool::new(4));
     let run = |sim: &MultiNodeSim, jobs: &[hrp_cluster::ClusterJob]| {
         let mut sel = SelectorKind::LeastLoaded.build();
         sim.run(&suite, jobs.to_vec(), sel.as_mut(), |_| FcfsBackfill::new())
     };
-    // Moderate scale: every mode is cheap enough for steady sampling.
+    // Moderate scale: cheap enough for steady sampling.
     let jobs = generate(
         &suite,
         &TraceConfig::new(TraceKind::Bursty, 2_000, 42).max_gpus(2),
     );
     c.bench_function("cluster_8nodes_serial_fcfs2k", |b| {
-        let sim = MultiNodeSim::new(8, 2).with_threads(1);
-        b.iter(|| black_box(run(&sim, &jobs)))
-    });
-    c.bench_function("cluster_8nodes_barrier4_fcfs2k", |b| {
-        let sim = MultiNodeSim::new(8, 2).with_pool(Arc::clone(&pool));
+        let sim = MultiNodeSim::new(8, 2);
         b.iter(|| black_box(run(&sim, &jobs)))
     });
     let big = generate(
         &suite,
         &TraceConfig::new(TraceKind::Bursty, 100_000, 42).max_gpus(2),
     );
-    c.bench_function("cluster_8nodes_barrier4_fcfs100k", |b| {
-        let sim = MultiNodeSim::new(8, 2).with_pool(Arc::clone(&pool));
+    c.bench_function("cluster_8nodes_serial_fcfs100k", |b| {
+        let sim = MultiNodeSim::new(8, 2);
         b.iter(|| black_box(run(&sim, &big)))
     });
 }
@@ -101,7 +84,7 @@ fn bench_placement_episode(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_single_node_loop,
-    bench_fanout_modes,
+    bench_four_nodes,
     bench_barrier_at_scale,
     bench_placement_episode
 );

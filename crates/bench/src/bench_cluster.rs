@@ -1,13 +1,11 @@
-//! The `repro bench-cluster` statistics harness: serial vs pooled
-//! fan-out of the barrier engine on the same large seeded traces.
+//! The `repro bench-cluster` statistics harness: the barrier engine
+//! timed on large seeded traces.
 //!
-//! Each configuration (trace kind × execution mode) is run `reps`
-//! times on identical inputs; wall-clock times are summarised with
-//! [`RunStats`] (mean, standard error, Student-t 95 % CI) and the
-//! pooled run's merged-timeline digest is checked against the serial
-//! run before any number is reported — a speedup over a *different*
-//! schedule would be meaningless. Alongside the timings the report
-//! carries the logical [`SyncStats`] counters (identical across modes).
+//! Each trace kind is run `reps` times on identical inputs; wall-clock
+//! times are summarised with [`RunStats`] (mean, standard error,
+//! Student-t 95 % CI). Alongside the timings the report carries the
+//! logical [`SyncStats`] counters and the merged-timeline digest, so a
+//! timing is always tied to the schedule it measured.
 //!
 //! The harness is deliberately dependency-free: JSON is assembled by
 //! hand (`render_json`) and written to `BENCH_6.json` by the caller.
@@ -16,10 +14,8 @@ use crate::stats::RunStats;
 use hrp_cluster::multinode::{MultiNodeSim, SyncStats};
 use hrp_cluster::trace::{generate, TraceConfig, TraceKind};
 use hrp_cluster::{ClusterJob, FcfsBackfill, SelectorKind};
-use hrp_core::par::WorkerPool;
 use hrp_workloads::Suite;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Nodes in every bench configuration.
@@ -37,11 +33,8 @@ pub struct BenchConfig {
     pub quick: bool,
     /// Trace-generation seed.
     pub seed: u64,
-    /// Repetitions per configuration (`0` = the mode default).
+    /// Repetitions per trace kind (`0` = the quick/full default).
     pub reps: usize,
-    /// Worker threads for the pooled mode (`0` = available
-    /// parallelism).
-    pub threads: usize,
 }
 
 impl BenchConfig {
@@ -55,7 +48,7 @@ impl BenchConfig {
         }
     }
 
-    /// Repetitions per configuration (explicit `reps`, else 3 quick /
+    /// Repetitions per trace kind (explicit `reps`, else 3 quick /
     /// 5 full).
     #[must_use]
     pub fn effective_reps(&self) -> usize {
@@ -69,28 +62,18 @@ impl BenchConfig {
     }
 }
 
-/// One execution mode's summary on one trace.
+/// The timing summary of one trace kind.
 #[derive(Debug, Clone)]
-pub struct ModeResult {
-    /// Mode label: `serial` or `pooled`.
-    pub mode: &'static str,
+pub struct TraceBench {
+    /// The trace kind.
+    pub kind: TraceKind,
     /// Wall-clock per run, in milliseconds.
     pub time_ms: RunStats,
     /// Logical synchronization counters (identical across reps — they
     /// are a function of the schedule, not the clock).
     pub sync: SyncStats,
-    /// Merged-timeline FNV digest (identical across modes by
-    /// construction; asserted).
+    /// Merged-timeline FNV digest (identical across reps).
     pub digest: u64,
-}
-
-/// All modes on one trace kind.
-#[derive(Debug, Clone)]
-pub struct TraceBench {
-    /// The trace kind.
-    pub kind: TraceKind,
-    /// `serial`, `pooled` — in that order.
-    pub modes: Vec<ModeResult>,
 }
 
 /// The full harness output.
@@ -98,8 +81,6 @@ pub struct TraceBench {
 pub struct BenchReport {
     /// The configuration that produced it.
     pub cfg: BenchConfig,
-    /// Resolved worker-thread count of the pooled mode.
-    pub pool_threads: usize,
     /// One entry per kind in [`BENCH_TRACE_KINDS`].
     pub traces: Vec<TraceBench>,
 }
@@ -114,42 +95,34 @@ fn bench_trace(suite: &Suite, kind: TraceKind, jobs: usize, seed: u64) -> Vec<Cl
     )
 }
 
-/// Time one mode: `reps` identical runs, returning the timing summary
+/// Time one trace: `reps` identical runs, returning the timing summary
 /// plus the (rep-invariant) counters and digest of the last run.
-fn time_mode(
-    suite: &Suite,
-    jobs: &[ClusterJob],
-    mode: &'static str,
-    reps: usize,
-    make_sim: &dyn Fn() -> MultiNodeSim,
-) -> ModeResult {
+fn time_trace(suite: &Suite, kind: TraceKind, jobs: &[ClusterJob], reps: usize) -> TraceBench {
     let mut samples = Vec::with_capacity(reps);
     let mut sync = SyncStats::default();
     let mut digest = 0u64;
     for _ in 0..reps {
         let mut selector = SelectorKind::LeastLoaded.build();
         let start = Instant::now();
-        let report = make_sim().run(suite, jobs.to_vec(), selector.as_mut(), |_| {
-            FcfsBackfill::new()
-        });
+        let report = MultiNodeSim::new(BENCH_NODES, BENCH_GPUS_PER_NODE).run(
+            suite,
+            jobs.to_vec(),
+            selector.as_mut(),
+            |_| FcfsBackfill::new(),
+        );
         samples.push(start.elapsed().as_secs_f64() * 1e3);
         sync = report.sync;
         digest = report.timeline.digest();
     }
-    ModeResult {
-        mode,
+    TraceBench {
+        kind,
         time_ms: RunStats::from_samples(&samples),
         sync,
         digest,
     }
 }
 
-/// Run the full harness: every trace kind × {serial, pooled}, digests
-/// cross-checked.
-///
-/// # Panics
-/// Panics if the pooled run's merged timeline diverges from the
-/// serial run (that would be an engine bug, not a measurement).
+/// Run the full harness: every trace kind, timed.
 #[must_use]
 pub fn run_bench(suite: &Suite, cfg: &BenchConfig) -> BenchReport {
     bench_traces(suite, cfg, cfg.jobs(), cfg.effective_reps())
@@ -157,35 +130,11 @@ pub fn run_bench(suite: &Suite, cfg: &BenchConfig) -> BenchReport {
 
 /// [`run_bench`] at an explicit trace size and repetition count.
 fn bench_traces(suite: &Suite, cfg: &BenchConfig, jobs: usize, reps: usize) -> BenchReport {
-    let pool = Arc::new(WorkerPool::new(cfg.threads));
-    let pool_threads = pool.threads();
     let traces = BENCH_TRACE_KINDS
         .iter()
-        .map(|&kind| {
-            let jobs = bench_trace(suite, kind, jobs, cfg.seed);
-            let serial = time_mode(suite, &jobs, "serial", reps, &|| {
-                MultiNodeSim::new(BENCH_NODES, BENCH_GPUS_PER_NODE).with_threads(1)
-            });
-            let pooled = time_mode(suite, &jobs, "pooled", reps, &|| {
-                MultiNodeSim::new(BENCH_NODES, BENCH_GPUS_PER_NODE).with_pool(Arc::clone(&pool))
-            });
-            assert_eq!(
-                serial.digest,
-                pooled.digest,
-                "{}: pooled-mode digest diverged",
-                kind.name()
-            );
-            TraceBench {
-                kind,
-                modes: vec![serial, pooled],
-            }
-        })
+        .map(|&kind| time_trace(suite, kind, &bench_trace(suite, kind, jobs, cfg.seed), reps))
         .collect();
-    BenchReport {
-        cfg: *cfg,
-        pool_threads,
-        traces,
-    }
+    BenchReport { cfg: *cfg, traces }
 }
 
 /// A finite f64 as a JSON number (Rust's shortest-roundtrip rendering
@@ -195,46 +144,40 @@ fn jnum(x: f64) -> String {
     format!("{x:?}")
 }
 
-/// Render the report as the `bench-cluster/v2` JSON document.
+/// Render the report as the `bench-cluster/v3` JSON document.
 #[must_use]
 pub fn render_json(report: &BenchReport) -> String {
     let cfg = &report.cfg;
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"bench-cluster/v2\",");
+    let _ = writeln!(out, "  \"schema\": \"bench-cluster/v3\",");
     let _ = writeln!(out, "  \"quick\": {},", cfg.quick);
     let _ = writeln!(out, "  \"seed\": {},", cfg.seed);
     let _ = writeln!(out, "  \"nodes\": {BENCH_NODES},");
     let _ = writeln!(out, "  \"gpus_per_node\": {BENCH_GPUS_PER_NODE},");
     let _ = writeln!(out, "  \"jobs\": {},", cfg.jobs());
     let _ = writeln!(out, "  \"reps\": {},", cfg.effective_reps());
-    let _ = writeln!(out, "  \"threads\": {},", report.pool_threads);
     let _ = writeln!(out, "  \"rows\": [");
-    let mut first = true;
-    for t in &report.traces {
-        for m in &t.modes {
-            if !first {
-                let _ = writeln!(out, ",");
-            }
-            first = false;
-            let s = &m.time_ms;
-            let _ = write!(
-                out,
-                "    {{\"trace\": \"{}\", \"mode\": \"{}\", \
-                 \"mean_ms\": {}, \"std_err_ms\": {}, \
-                 \"ci95_lo_ms\": {}, \"ci95_hi_ms\": {}, \
-                 \"sync_rounds\": {}, \"node_advances\": {}, \
-                 \"digest\": \"{:016x}\"}}",
-                t.kind.name(),
-                m.mode,
-                jnum(s.mean),
-                jnum(s.std_err),
-                jnum(s.ci95_lo),
-                jnum(s.ci95_hi),
-                m.sync.sync_rounds,
-                m.sync.node_advances,
-                m.digest,
-            );
+    for (i, t) in report.traces.iter().enumerate() {
+        if i > 0 {
+            let _ = writeln!(out, ",");
         }
+        let s = &t.time_ms;
+        let _ = write!(
+            out,
+            "    {{\"trace\": \"{}\", \
+             \"mean_ms\": {}, \"std_err_ms\": {}, \
+             \"ci95_lo_ms\": {}, \"ci95_hi_ms\": {}, \
+             \"sync_rounds\": {}, \"node_advances\": {}, \
+             \"digest\": \"{:016x}\"}}",
+            t.kind.name(),
+            jnum(s.mean),
+            jnum(s.std_err),
+            jnum(s.ci95_lo),
+            jnum(s.ci95_hi),
+            t.sync.sync_rounds,
+            t.sync.node_advances,
+            t.digest,
+        );
     }
     let _ = writeln!(out);
     let _ = writeln!(out, "  ]");
@@ -247,27 +190,35 @@ mod tests {
     use super::*;
     use hrp_gpusim::GpuArch;
 
-    /// The full harness path (all kinds, both modes, digest
-    /// cross-check) on 400-job traces and one rep, so the test stays
-    /// fast.
+    /// The full harness path (all kinds) on 400-job traces and one
+    /// rep, so the test stays fast.
     fn tiny_bench(suite: &Suite) -> BenchReport {
         let cfg = BenchConfig {
             quick: true,
             seed: 42,
             reps: 1,
-            threads: 2,
         };
         bench_traces(suite, &cfg, 400, 1)
     }
 
     #[test]
-    fn harness_modes_agree() {
+    fn harness_reports_the_schedule_it_timed() {
+        // One row per trace kind, carrying the digest and counters of
+        // the very schedule an untimed run of the same trace produces.
         let suite = Suite::paper_suite(&GpuArch::a100());
         let report = tiny_bench(&suite);
         assert_eq!(report.traces.len(), 3);
-        for t in &report.traces {
-            assert_eq!(t.modes[0].digest, t.modes[1].digest);
-            assert_eq!(t.modes[0].sync, t.modes[1].sync);
+        for (t, kind) in report.traces.iter().zip(BENCH_TRACE_KINDS) {
+            assert_eq!(t.kind, kind);
+            let mut sel = SelectorKind::LeastLoaded.build();
+            let plain = MultiNodeSim::new(BENCH_NODES, BENCH_GPUS_PER_NODE).run(
+                &suite,
+                bench_trace(&suite, kind, 400, 42),
+                sel.as_mut(),
+                |_| FcfsBackfill::new(),
+            );
+            assert_eq!(t.digest, plain.timeline.digest(), "{}", kind.name());
+            assert_eq!(t.sync, plain.sync, "{}", kind.name());
         }
     }
 
@@ -276,7 +227,7 @@ mod tests {
         let suite = Suite::paper_suite(&GpuArch::a100());
         let json = render_json(&tiny_bench(&suite));
         for field in [
-            "\"schema\": \"bench-cluster/v2\"",
+            "\"schema\": \"bench-cluster/v3\"",
             "\"mean_ms\"",
             "\"std_err_ms\"",
             "\"ci95_lo_ms\"",
@@ -298,6 +249,8 @@ mod tests {
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(!json.contains("NaN") && !json.contains("inf"));
+        // One mode, so no per-row mode column and no pool width.
+        assert!(!json.contains("\"mode\"") && !json.contains("\"threads\""));
     }
 
     #[test]
@@ -306,7 +259,6 @@ mod tests {
             quick: true,
             seed: 1,
             reps: 0,
-            threads: 0,
         };
         assert_eq!(cfg.jobs(), 20_000);
         assert_eq!(cfg.effective_reps(), 3);

@@ -27,8 +27,8 @@
 //!   oracle    oracle-greedy reference throughput
 //!   cluster   multi-node placement comparison (§VI) vs the
 //!             single-node baseline
-//!   bench-cluster  timing statistics: serial vs pooled barrier
-//!             fan-out on large seeded traces; writes BENCH_6.json
+//!   bench-cluster  timing statistics: the barrier engine on large
+//!             seeded traces; writes BENCH_6.json
 //!   serve     online scheduler service (hrp-serve): streams arrivals
 //!             through incremental decision cycles; the default bench
 //!             mode writes BENCH_8.json, while --source/--checkpoint/
@@ -45,8 +45,9 @@
 //!
 //! `--quick` shrinks the network and episode count for smoke runs; the
 //! defaults reproduce the paper-scale configuration. `--threads N` caps
-//! the rollout/evaluation worker threads (default: available
-//! parallelism); results are identical for any thread count.
+//! the training-rollout, evaluation, and placement-training worker
+//! threads (default: available parallelism); results are identical for
+//! any thread count.
 //! `--overlap` double-buffers training rounds (one round of policy
 //! staleness, learner latency hidden behind rollouts) and `--shards N`
 //! shards the replay path; both change training semantics
@@ -68,8 +69,8 @@
 //! planner schedules against by up to ±F of the true duration — the
 //! simulated runtimes themselves never change. With `--nodes 1` the
 //! multi-node path reproduces the single-node simulator bit-for-bit,
-//! and the merged timeline — and the trained policy — are identical
-//! for any `--threads` value. `--reps N` overrides the
+//! and the trained policy — and with it the merged timeline — is
+//! identical for any `--threads` value. `--reps N` overrides the
 //! `bench-cluster` repetition count (default: 3 with `--quick`, 5
 //! otherwise); the harness writes its statistics to `BENCH_6.json` in
 //! the working directory.
@@ -154,7 +155,8 @@ struct Options {
     quick: bool,
     seed: u64,
     out: Option<PathBuf>,
-    /// Rollout/evaluation worker threads (0 = available parallelism).
+    /// Training-rollout, evaluation, and placement-training worker
+    /// threads (0 = available parallelism).
     threads: usize,
     /// Double-buffered (overlapped) training rounds.
     overlap: bool,
@@ -947,7 +949,6 @@ fn bench_cluster_cmd(suite: &Suite, opts: &Options) {
         quick: opts.quick,
         seed: opts.seed,
         reps: opts.reps,
-        threads: opts.threads,
     };
     println!(
         "# bench-cluster: {} nodes, {} jobs/trace, {} reps",
@@ -958,7 +959,6 @@ fn bench_cluster_cmd(suite: &Suite, opts: &Options) {
     let report = run_bench(suite, &cfg);
     let mut t = Table::new(&[
         "trace",
-        "mode",
         "mean_ms",
         "std_err_ms",
         "ci95_lo_ms",
@@ -967,18 +967,15 @@ fn bench_cluster_cmd(suite: &Suite, opts: &Options) {
         "digest",
     ]);
     for tr in &report.traces {
-        for m in &tr.modes {
-            t.row(vec![
-                tr.kind.name().to_owned(),
-                m.mode.to_owned(),
-                f3(m.time_ms.mean),
-                f3(m.time_ms.std_err),
-                f3(m.time_ms.ci95_lo),
-                f3(m.time_ms.ci95_hi),
-                m.sync.sync_rounds.to_string(),
-                format!("{:016x}", m.digest),
-            ]);
-        }
+        t.row(vec![
+            tr.kind.name().to_owned(),
+            f3(tr.time_ms.mean),
+            f3(tr.time_ms.std_err),
+            f3(tr.time_ms.ci95_lo),
+            f3(tr.time_ms.ci95_hi),
+            tr.sync.sync_rounds.to_string(),
+            format!("{:016x}", tr.digest),
+        ]);
     }
     t.emit("bench_cluster", opts.out.as_deref());
     let json = render_json(&report);

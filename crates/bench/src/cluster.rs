@@ -144,20 +144,16 @@ pub fn single_node_baseline(suite: &Suite, jobs: &[ClusterJob]) -> ClusterReport
 }
 
 /// One comparison row: `jobs` on `nodes` nodes under `selector`, next
-/// to a precomputed single-node `baseline`. `threads` caps the
-/// per-epoch node fan-out (`0` = available parallelism, served by a
-/// persistent worker pool); results are bit-identical for any value
-/// (the determinism contract).
+/// to a precomputed single-node `baseline`.
 #[must_use]
 pub fn compare_row(
     suite: &Suite,
     jobs: &[ClusterJob],
     nodes: usize,
     selector: &mut dyn hrp_cluster::NodeSelector,
-    threads: usize,
     baseline: ClusterReport,
 ) -> ClusterComparison {
-    let sim = MultiNodeSim::new(nodes, GPUS_PER_NODE).with_threads(threads);
+    let sim = MultiNodeSim::new(nodes, GPUS_PER_NODE);
     let report = sim.run(suite, jobs.to_vec(), selector, |_| node_dispatcher());
     ClusterComparison {
         selector: selector.name().to_owned(),
@@ -168,8 +164,7 @@ pub fn compare_row(
 
 /// A backfill comparison row: `jobs` under least-loaded placement
 /// with every node running a [`BackfillPlanner`] of the given policy
-/// over `opts.walltime_err`-noisy estimates. The thread knob comes
-/// from `opts` exactly as in [`compare_row`].
+/// over `opts.walltime_err`-noisy estimates.
 #[must_use]
 pub fn compare_backfill_row(
     suite: &Suite,
@@ -178,7 +173,7 @@ pub fn compare_backfill_row(
     opts: ComparisonOptions,
     baseline: ClusterReport,
 ) -> ClusterComparison {
-    let sim = MultiNodeSim::new(opts.nodes, GPUS_PER_NODE).with_threads(opts.threads);
+    let sim = MultiNodeSim::new(opts.nodes, GPUS_PER_NODE);
     let mut selector = hrp_cluster::BackfillTier::new(policy);
     let report = sim.run(suite, jobs.to_vec(), &mut selector, |_| {
         backfill_dispatcher(policy, opts.walltime_err)
@@ -198,10 +193,9 @@ pub fn cluster_compare(
     jobs: &[ClusterJob],
     nodes: usize,
     selector: &mut dyn hrp_cluster::NodeSelector,
-    threads: usize,
 ) -> ClusterComparison {
     let baseline = single_node_baseline(suite, jobs);
-    compare_row(suite, jobs, nodes, selector, threads, baseline)
+    compare_row(suite, jobs, nodes, selector, baseline)
 }
 
 /// The full placement comparison behind `repro cluster`: the evaluated
@@ -225,7 +219,7 @@ pub struct ComparisonOptions {
     pub seed: u64,
     /// Use the quick training configuration for policy rows.
     pub quick: bool,
-    /// Epoch fan-out / rollout worker cap (`0` = auto; results are
+    /// Placement-training rollout worker cap (`0` = auto; results are
     /// identical for any value).
     pub threads: usize,
     /// Walltime-estimate error fraction (`[0, 1)`) the backfill rows
@@ -261,26 +255,12 @@ pub fn placement_comparison(
                     train_placement(suite, cfg)
                 });
                 let mut sel = agent.selector();
-                compare_row(
-                    suite,
-                    jobs,
-                    opts.nodes,
-                    &mut sel,
-                    opts.threads,
-                    baseline.clone(),
-                )
+                compare_row(suite, jobs, opts.nodes, &mut sel, baseline.clone())
             } else if let Some(policy) = kind.backfill_policy() {
                 compare_backfill_row(suite, jobs, policy, opts, baseline.clone())
             } else {
                 let mut sel = kind.build();
-                compare_row(
-                    suite,
-                    jobs,
-                    opts.nodes,
-                    sel.as_mut(),
-                    opts.threads,
-                    baseline.clone(),
-                )
+                compare_row(suite, jobs, opts.nodes, sel.as_mut(), baseline.clone())
             }
         })
         .collect();
@@ -297,7 +277,7 @@ mod tests {
         let suite = Suite::paper_suite(&GpuArch::a100());
         let jobs = evaluation_trace(&suite, TraceKind::Staggered, 16, 42);
         let mut sel = SelectorKind::RoundRobin.build();
-        let cmp = cluster_compare(&suite, &jobs, 1, sel.as_mut(), 1);
+        let cmp = cluster_compare(&suite, &jobs, 1, sel.as_mut());
         assert_eq!(cmp.report.aggregate, cmp.baseline);
         assert!((cmp.speedup() - 1.0).abs() < 1e-12);
         assert_eq!(cmp.selector, "round-robin");
@@ -309,7 +289,7 @@ mod tests {
         for kind in [SelectorKind::RoundRobin, SelectorKind::LeastLoaded] {
             let jobs = evaluation_trace(&suite, TraceKind::Staggered, 24, 42);
             let mut sel = kind.build();
-            let cmp = cluster_compare(&suite, &jobs, 4, sel.as_mut(), 0);
+            let cmp = cluster_compare(&suite, &jobs, 4, sel.as_mut());
             assert!(
                 cmp.speedup() > 1.0,
                 "{}: 4 nodes should beat 1 ({} vs {})",
@@ -319,18 +299,6 @@ mod tests {
             );
             assert_eq!(cmp.report.completed_jobs(), 24);
         }
-    }
-
-    #[test]
-    fn pooled_comparison_row_matches_serial_bit_for_bit() {
-        let suite = Suite::paper_suite(&GpuArch::a100());
-        let jobs = evaluation_trace(&suite, TraceKind::Bursty, 32, 42);
-        let baseline = single_node_baseline(&suite, &jobs);
-        let mut a = SelectorKind::LeastLoaded.build();
-        let mut b = SelectorKind::LeastLoaded.build();
-        let serial = compare_row(&suite, &jobs, 4, a.as_mut(), 1, baseline.clone());
-        let pooled = compare_row(&suite, &jobs, 4, b.as_mut(), 4, baseline);
-        assert_eq!(serial.report, pooled.report);
     }
 
     fn quick_opts(walltime_err: f64) -> ComparisonOptions {

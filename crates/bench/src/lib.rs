@@ -11,8 +11,8 @@
 //!   (`repro cluster --nodes N --selector X` vs the single-node
 //!   baseline);
 //! * [`bench_cluster`] — the `repro bench-cluster` statistics harness
-//!   (serial vs pooled barrier fan-out on large seeded traces,
-//!   persisted as `BENCH_6.json`);
+//!   (the barrier engine timed on large seeded traces, persisted as
+//!   `BENCH_6.json`);
 //! * [`serve`] — the `repro serve` online-service harness (sustained
 //!   decisions/sec and decision-latency percentiles of the `hrp-serve`
 //!   scheduler service, digest-checked against the batch oracle and

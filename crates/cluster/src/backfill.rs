@@ -112,8 +112,7 @@ impl BackfillPolicy {
 ///
 /// Reordering is *within* an arrival burst only (jobs whose arrival
 /// times are bitwise equal, the same grouping the epoch driver uses),
-/// so arrival causality — and with it thread-count invariance — is
-/// untouched.
+/// so arrival causality is untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum QueueOrder {
     /// Submission order (the default; bit-identical to the pre-hook

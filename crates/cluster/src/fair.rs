@@ -18,7 +18,7 @@
 //!   order. Reordering is confined to a burst — jobs with bitwise
 //!   equal arrival times — exactly like
 //!   [`crate::backfill::QueueOrder`], so the determinism contract
-//!   (bit-identical timelines for any threads / cycle mode) survives:
+//!   (bit-identical timelines for any cycle mode) survives:
 //!   see ARCHITECTURE.md contract point 9.
 //! * [`apply_fair_order`] — the batch-side hook: walk an
 //!   arrival-sorted job list burst by burst, order each burst by

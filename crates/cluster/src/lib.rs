@@ -12,12 +12,11 @@
 //!   [`sim::NodeRun`] event loop (GPUs as resources, job completions as
 //!   events, every state change recorded as a [`sim::NodeEvent`]) and
 //!   the single-node [`ClusterSim`] wrapper;
-//! * [`multinode`] — `N` nodes simulated concurrently, fed from a
-//!   global arrival queue by a pluggable node selector, their event
-//!   streams merged into one deterministic `(time, node, seq)`-ordered
-//!   cluster timeline — bit-identical for any thread count (the epoch
-//!   fan-out runs on a persistent [`hrp_core::par::WorkerPool`]), and
-//!   event-for-event identical to [`ClusterSim`] when `N = 1`. The
+//! * [`multinode`] — `N` nodes advanced serially between arrival
+//!   instants, fed from a global arrival queue by a pluggable node
+//!   selector, their event streams merged into one deterministic
+//!   `(time, node, seq)`-ordered cluster timeline, event-for-event
+//!   identical to [`ClusterSim`] when `N = 1`. The
 //!   stepped [`multinode::ClusterDrive`] core is shared with the RL
 //!   placement environment;
 //! * [`trace`] — deterministic cluster-trace generators (uniform,

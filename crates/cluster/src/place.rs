@@ -106,7 +106,7 @@ pub struct PlacementOutcome {
 /// * **Action** — the node id (`N` actions; the mask drops nodes too
 ///   small for the job, so placement never dead-ends).
 /// * **Decision** — a [`PlacementOutcome`].
-pub struct ClusterEnv<'a, D: Dispatcher + Send> {
+pub struct ClusterEnv<'a, D: Dispatcher> {
     suite: &'a Suite,
     trace: &'a [ClusterJob],
     make: &'a (dyn Fn(usize) -> D + Sync),
@@ -124,7 +124,7 @@ pub struct ClusterEnv<'a, D: Dispatcher + Send> {
     report: Option<MultiNodeReport>,
 }
 
-impl<'a, D: Dispatcher + Send> ClusterEnv<'a, D> {
+impl<'a, D: Dispatcher> ClusterEnv<'a, D> {
     /// A placement episode over `nodes` identical nodes of
     /// `gpus_per_node` GPUs, each running `make_dispatcher(node)`.
     /// `trace` must be non-empty, sorted by arrival, and fit the nodes.
@@ -191,7 +191,7 @@ impl<'a, D: Dispatcher + Send> ClusterEnv<'a, D> {
     }
 }
 
-impl<D: Dispatcher + Send> Env for ClusterEnv<'_, D> {
+impl<D: Dispatcher> Env for ClusterEnv<'_, D> {
     type Decision = PlacementOutcome;
 
     fn state_dim(&self) -> usize {
@@ -337,7 +337,7 @@ impl Dispatcher for PlacementDispatcher {
 /// [`train_env`] runs placement training with zero pipeline changes.
 pub struct PlacementEnvFactory<'a, D, M>
 where
-    D: Dispatcher + Send,
+    D: Dispatcher,
     M: Fn(usize) -> D + Sync,
 {
     suite: &'a Suite,
@@ -350,7 +350,7 @@ where
 
 impl<'a, D, M> PlacementEnvFactory<'a, D, M>
 where
-    D: Dispatcher + Send,
+    D: Dispatcher,
     M: Fn(usize) -> D + Sync,
 {
     /// Bundle the episode-invariant state. `steps_hint` is the expected
@@ -377,7 +377,7 @@ where
 
 impl<D, M> EnvFactory for PlacementEnvFactory<'_, D, M>
 where
-    D: Dispatcher + Send,
+    D: Dispatcher,
     M: Fn(usize) -> D + Sync,
 {
     type Ctx = Vec<ClusterJob>;

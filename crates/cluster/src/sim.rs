@@ -112,8 +112,8 @@ pub enum EventKind {
 ///
 /// `(time, node, seq)` is a total order: `seq` increases monotonically
 /// within a node, so merging per-node streams under this key yields one
-/// deterministic cluster timeline regardless of how node simulations
-/// were interleaved across threads.
+/// deterministic cluster timeline regardless of the order node
+/// simulations advanced in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeEvent {
     /// Simulation time of the event.

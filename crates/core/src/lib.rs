@@ -39,10 +39,9 @@
 //!   bridge; the placement environment itself lives in
 //!   `hrp-cluster::place`, where it replays episodes through the real
 //!   multi-node simulator);
-//! * [`par`] — the bounded parallelism primitives
-//!   ([`par::parallel_map`] and the persistent [`par::WorkerPool`])
-//!   the rollout, evaluation, cluster window-drain, and multi-node
-//!   epoch fan-outs share;
+//! * [`par`] — the bounded parallelism primitive
+//!   ([`par::parallel_map`]) the rollout, evaluation, and
+//!   placement-training fan-outs share;
 //! * [`policies`] — the five compared methods of §V-A4: `TimeSharing`,
 //!   `MigOnly (C=2)`, `MpsOnly`, `MigMpsDefault`, and `MigMpsRl`;
 //! * [`exhaustive`] — the set-partition dynamic program used to give the

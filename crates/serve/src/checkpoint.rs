@@ -143,16 +143,14 @@ impl<'a, S: ArrivalSource> SchedulerService<'a, S> {
             put_job(&mut body, job);
         }
         for node in 0..self.cfg.nodes {
-            let (state, disp) = self.drive.with_node(node, |run| {
-                let disp = match run.dispatcher() {
-                    PlacementDispatcher::CoSched(d) => DispatcherState::CoSched {
-                        windows: d.windows_scheduled(),
-                    },
-                    PlacementDispatcher::Backfill(p) => DispatcherState::Backfill(p.export_state()),
-                };
-                (run.export_state(), disp)
-            });
-            put_node_state(&mut body, &state);
+            let run = self.drive.node(node);
+            let disp = match run.dispatcher() {
+                PlacementDispatcher::CoSched(d) => DispatcherState::CoSched {
+                    windows: d.windows_scheduled(),
+                },
+                PlacementDispatcher::Backfill(p) => DispatcherState::Backfill(p.export_state()),
+            };
+            put_node_state(&mut body, &run.export_state());
             put_load(&mut body, &self.drive.loads()[node]);
             put_dispatcher(&mut body, &disp);
         }
@@ -1321,7 +1319,7 @@ mod tests {
             TraceSource::new(&s, trace_cfg(TraceKind::Uniform, 20, 3)),
         );
         let blob = svc.checkpoint().expect("checkpointable");
-        let idle = svc.drive.with_node(MAX_NODES - 1, |run| run.export_state());
+        let idle = svc.drive.node(MAX_NODES - 1).export_state();
         let mut grown = BytesMut::with_capacity(blob.len() + 256);
         grown.put_slice(&blob);
         put_node_state(&mut grown, &idle);

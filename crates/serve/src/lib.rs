@@ -33,7 +33,7 @@
 //! when a tenant exceeds its in-flight quota, and rejected when the
 //! projected slowdown exceeds a per-class SLO. Admission decisions
 //! fold into a digest ([`AdmissionOutcome`]) that is invariant across
-//! cycle modes and thread counts and survives kill/restore.
+//! cycle modes and survives kill/restore.
 //!
 //! See the [`SchedulerService`] doc-example for the end-to-end loop.
 

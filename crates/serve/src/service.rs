@@ -342,9 +342,9 @@ impl SelectorState {
 
 /// Logical per-service counters, in the style of
 /// [`SyncStats`](hrp_cluster::multinode::SyncStats): pure functions
-/// of the input stream and the cycle mode, never of wall clock or
-/// thread count — so tests can pin them and the incremental-vs-full
-/// savings claim is reproducible.
+/// of the input stream and the cycle mode, never of wall clock — so
+/// tests can pin them and the incremental-vs-full savings claim is
+/// reproducible.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Scheduling cycles triggered by arrival bursts.
@@ -440,7 +440,7 @@ pub struct AdmissionOutcome {
     /// Rolling FNV-1a digest over every admission decision
     /// `(job id, admission instant bits, user)` in order — the
     /// checkpointed fingerprint the fairness contract pins across
-    /// threads, cycle modes, and kill/restore.
+    /// cycle modes and kill/restore.
     pub digest: u64,
     /// The *effective* admitted trace: every admitted job with its
     /// arrival rewritten to the admission instant, in placement

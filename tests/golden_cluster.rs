@@ -8,11 +8,8 @@
 //!
 //! Golden values captured from the initial `multinode` implementation
 //! at `MultiNodeSim::new(4, 2)`, `staggered_trace(suite, 24)`,
-//! `CoSchedulingDispatcher::new(MpsOnly, 4, 4)` per node. Both thread
-//! modes (serial and `HRP_TEST_THREADS`-wide) must reproduce them.
-
-mod common;
-use common::test_threads;
+//! `CoSchedulingDispatcher::new(MpsOnly, 4, 4)` per node. Nodes
+//! advance serially, so one run per pin covers the schedule.
 
 use hrp::cluster::multinode::{staggered_trace, MultiNodeReport, MultiNodeSim};
 use hrp::cluster::trace::{generate, TraceConfig, TraceKind};
@@ -56,58 +53,52 @@ fn golden_runs() -> Vec<Golden> {
     ]
 }
 
-fn run(selector: SelectorKind, threads: usize) -> MultiNodeReport {
+fn run(selector: SelectorKind) -> MultiNodeReport {
     let suite = Suite::paper_suite(&GpuArch::a100());
     let mut sel = selector.build();
-    MultiNodeSim::new(4, 2).with_threads(threads).run(
-        &suite,
-        staggered_trace(&suite, 24),
-        sel.as_mut(),
-        |_| CoSchedulingDispatcher::new(MpsOnly, 4, 4),
-    )
+    MultiNodeSim::new(4, 2).run(&suite, staggered_trace(&suite, 24), sel.as_mut(), |_| {
+        CoSchedulingDispatcher::new(MpsOnly, 4, 4)
+    })
 }
 
 #[test]
 fn four_node_schedules_match_the_golden_pin_for_any_thread_count() {
     for golden in golden_runs() {
-        for threads in [1usize, test_threads()] {
-            let report = run(golden.selector, threads);
-            let mode = format!("selector={} threads={}", golden.selector.name(), threads);
-            assert_eq!(
-                report.timeline.digest(),
-                golden.digest,
-                "timeline digest drifted ({mode})"
-            );
-            assert_eq!(report.timeline.len(), golden.events, "event count ({mode})");
-            assert_eq!(
-                report.aggregate.makespan.to_bits(),
-                golden.makespan,
-                "makespan drifted ({mode}): {}",
-                report.aggregate.makespan
-            );
-            assert_eq!(
-                report.aggregate.avg_wait.to_bits(),
-                golden.avg_wait,
-                "avg_wait drifted ({mode}): {}",
-                report.aggregate.avg_wait
-            );
-            assert_eq!(
-                report.aggregate.utilization.to_bits(),
-                golden.utilization,
-                "utilization drifted ({mode}): {}",
-                report.aggregate.utilization
-            );
-            assert_eq!(report.aggregate.placements, golden.placements, "{mode}");
-            let jobs: Vec<usize> = report.per_node.iter().map(|n| n.jobs).collect();
-            assert_eq!(jobs, golden.node_jobs, "placement spread drifted ({mode})");
-            assert_eq!(report.completed_jobs(), 24, "{mode}");
-        }
+        let report = run(golden.selector);
+        let mode = format!("selector={}", golden.selector.name());
+        assert_eq!(
+            report.timeline.digest(),
+            golden.digest,
+            "timeline digest drifted ({mode})"
+        );
+        assert_eq!(report.timeline.len(), golden.events, "event count ({mode})");
+        assert_eq!(
+            report.aggregate.makespan.to_bits(),
+            golden.makespan,
+            "makespan drifted ({mode}): {}",
+            report.aggregate.makespan
+        );
+        assert_eq!(
+            report.aggregate.avg_wait.to_bits(),
+            golden.avg_wait,
+            "avg_wait drifted ({mode}): {}",
+            report.aggregate.avg_wait
+        );
+        assert_eq!(
+            report.aggregate.utilization.to_bits(),
+            golden.utilization,
+            "utilization drifted ({mode}): {}",
+            report.aggregate.utilization
+        );
+        assert_eq!(report.aggregate.placements, golden.placements, "{mode}");
+        let jobs: Vec<usize> = report.per_node.iter().map(|n| n.jobs).collect();
+        assert_eq!(jobs, golden.node_jobs, "placement spread drifted ({mode})");
+        assert_eq!(report.completed_jobs(), 24, "{mode}");
     }
 }
 
 /// Golden pin for one *large* skewed trace (5000 jobs, 8 FCFS nodes,
-/// least-loaded placement), reproduced bit-for-bit at
-/// `HRP_TEST_THREADS` workers.
+/// least-loaded placement), reproduced bit-for-bit.
 #[test]
 fn large_skewed_trace_matches_the_golden_pin() {
     const DIGEST: u64 = 0x841a_9d30_d786_e4b9;
@@ -120,12 +111,7 @@ fn large_skewed_trace_matches_the_golden_pin() {
         &TraceConfig::new(TraceKind::Skewed, 5000, 42).max_gpus(2),
     );
     let mut sel = SelectorKind::LeastLoaded.build();
-    let barrier = MultiNodeSim::new(8, 2).with_threads(test_threads()).run(
-        &suite,
-        jobs,
-        sel.as_mut(),
-        |_| FcfsBackfill::new(),
-    );
+    let barrier = MultiNodeSim::new(8, 2).run(&suite, jobs, sel.as_mut(), |_| FcfsBackfill::new());
     assert_eq!(barrier.timeline.digest(), DIGEST, "barrier digest drifted");
     assert_eq!(barrier.timeline.len(), EVENTS);
     assert_eq!(barrier.aggregate.makespan.to_bits(), MAKESPAN);
@@ -140,12 +126,9 @@ fn one_node_round_robin_reproduces_the_single_node_schedule() {
     let suite = Suite::paper_suite(&GpuArch::a100());
     let jobs = staggered_trace(&suite, 24);
     let mut sel = SelectorKind::RoundRobin.build();
-    let multi = MultiNodeSim::new(1, 2).with_threads(test_threads()).run(
-        &suite,
-        jobs.clone(),
-        sel.as_mut(),
-        |_| CoSchedulingDispatcher::new(MpsOnly, 4, 4),
-    );
+    let multi = MultiNodeSim::new(1, 2).run(&suite, jobs.clone(), sel.as_mut(), |_| {
+        CoSchedulingDispatcher::new(MpsOnly, 4, 4)
+    });
     let mut single = CoSchedulingDispatcher::new(MpsOnly, 4, 4);
     let (base, events) = hrp::cluster::ClusterSim::new(2).run_traced(&suite, jobs, &mut single);
     assert_eq!(multi.timeline.events, events);

@@ -13,7 +13,7 @@
 //! The same run doubles as the acceptance gate: on the held-out skewed
 //! trace the trained policy must beat round-robin and match-or-beat
 //! least-loaded on simulated makespan, bit-identically for any rollout
-//! worker count and simulation thread count.
+//! worker count.
 
 mod common;
 use common::test_threads;
@@ -115,7 +115,7 @@ fn golden_assignment() -> Vec<usize> {
 fn trained_policy_beats_round_robin_and_least_loaded_on_the_skewed_trace() {
     // The acceptance gate behind `repro cluster --selector policy
     // --trace skewed`: ground-truth rewards must actually pay off
-    // against the heuristics, for any worker/thread count.
+    // against the heuristics, for any rollout worker count.
     let suite = Suite::paper_suite(&GpuArch::a100());
     let threads = test_threads();
 
@@ -136,7 +136,7 @@ fn trained_policy_beats_round_robin_and_least_loaded_on_the_skewed_trace() {
     );
 
     let trace = eval_trace(&suite);
-    let run = |kind: SelectorKind, threads: usize| {
+    let run = |kind: SelectorKind| {
         let mut policy_sel;
         let mut heur_sel;
         let sel: &mut dyn hrp::cluster::NodeSelector = if kind.needs_training() {
@@ -147,13 +147,12 @@ fn trained_policy_beats_round_robin_and_least_loaded_on_the_skewed_trace() {
             heur_sel.as_mut()
         };
         MultiNodeSim::new(cfg.nodes, cfg.gpus_per_node)
-            .with_threads(threads)
             .run(&suite, trace.clone(), sel, |_| cfg.node_dispatcher())
     };
 
-    let policy = run(SelectorKind::Policy, 1);
-    let rr = run(SelectorKind::RoundRobin, 1);
-    let ll = run(SelectorKind::LeastLoaded, 1);
+    let policy = run(SelectorKind::Policy);
+    let rr = run(SelectorKind::RoundRobin);
+    let ll = run(SelectorKind::LeastLoaded);
     assert!(
         policy.aggregate.makespan < rr.aggregate.makespan,
         "policy {} must beat round-robin {}",
@@ -166,15 +165,4 @@ fn trained_policy_beats_round_robin_and_least_loaded_on_the_skewed_trace() {
         policy.aggregate.makespan,
         ll.aggregate.makespan
     );
-
-    // The whole deployment is thread-count invariant too.
-    for kind in [
-        SelectorKind::Policy,
-        SelectorKind::RoundRobin,
-        SelectorKind::LeastLoaded,
-    ] {
-        let serial = run(kind, 1);
-        let wide = run(kind, threads);
-        assert_eq!(serial, wide, "{} deployment drifted", kind.name());
-    }
 }

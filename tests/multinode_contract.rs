@@ -1,20 +1,20 @@
 //! Property tests (proptest) for the multi-node cluster simulator's
 //! determinism contract:
 //!
-//! * the merged cluster timeline is invariant to node-simulation order
-//!   and thread count (`--threads 1` vs `HRP_TEST_THREADS` vs auto);
+//! * the merged cluster timeline is the same whether it is computed on
+//!   the calling thread or inside concurrent workers (placement
+//!   training runs one simulation per rollout worker), at 1,
+//!   `HRP_TEST_THREADS`, or auto width;
 //! * a one-node cluster is event-for-event identical to the
 //!   single-node simulator on the same trace;
 //! * completed jobs are conserved across any selector: every job
-//!   arrives once, starts once, and finishes once;
-//! * the epoch fan-out mode — serial, a per-run worker pool, or a
-//!   shared caller-owned pool — never moves an event.
+//!   arrives once, starts once, and finishes once.
 //!
 //! (`tests/trace_contract.rs` extends the same guarantees to generated
 //! traces and the RL `PolicySelector`.)
 //!
-//! Set `HRP_TEST_THREADS` to pick the parallel worker count the
-//! invariance cases exercise (CI runs the suite under 1 and 4).
+//! Set `HRP_TEST_THREADS` to pick the worker count the invariance case
+//! exercises (CI runs the suite under 1 and 4).
 
 mod common;
 use common::test_threads;
@@ -23,6 +23,7 @@ use hrp::cluster::multinode::MultiNodeSim;
 use hrp::cluster::select::{LeastLoaded, RoundRobin};
 use hrp::cluster::sim::{ClusterSim, EventKind};
 use hrp::cluster::{ClusterJob, CoSchedulingDispatcher, SelectorKind};
+use hrp::core::par::parallel_map;
 use hrp::prelude::*;
 use proptest::prelude::*;
 
@@ -61,20 +62,20 @@ proptest! {
     ) {
         let s = suite();
         let kind = if least_loaded { SelectorKind::LeastLoaded } else { SelectorKind::RoundRobin };
-        let run = |threads: usize| {
+        let run = || {
             let mut sel = kind.build();
             MultiNodeSim::new(nodes, 2)
-                .with_threads(threads)
                 .run(&s, trace(&s, &shape), sel.as_mut(), |_| dispatcher())
         };
-        let serial = run(1);
+        let serial = run();
         for threads in [test_threads(), 0] {
-            let got = run(threads);
-            prop_assert_eq!(&got.timeline.events, &serial.timeline.events,
-                "timeline drifted at {} threads", threads);
-            prop_assert_eq!(&got.per_node, &serial.per_node);
-            prop_assert_eq!(&got.aggregate, &serial.aggregate);
-            prop_assert_eq!(got.timeline.digest(), serial.timeline.digest());
+            for got in parallel_map(4, threads, |_| run()) {
+                prop_assert_eq!(&got.timeline.events, &serial.timeline.events,
+                    "timeline drifted at {} threads", threads);
+                prop_assert_eq!(&got.per_node, &serial.per_node);
+                prop_assert_eq!(&got.aggregate, &serial.aggregate);
+                prop_assert_eq!(got.timeline.digest(), serial.timeline.digest());
+            }
         }
     }
 
@@ -86,14 +87,10 @@ proptest! {
         let s = suite();
         let multi = if least_loaded {
             let mut sel = LeastLoaded;
-            MultiNodeSim::new(1, 2)
-                .with_threads(test_threads())
-                .run(&s, trace(&s, &shape), &mut sel, |_| dispatcher())
+            MultiNodeSim::new(1, 2).run(&s, trace(&s, &shape), &mut sel, |_| dispatcher())
         } else {
             let mut sel = RoundRobin::default();
-            MultiNodeSim::new(1, 2)
-                .with_threads(test_threads())
-                .run(&s, trace(&s, &shape), &mut sel, |_| dispatcher())
+            MultiNodeSim::new(1, 2).run(&s, trace(&s, &shape), &mut sel, |_| dispatcher())
         };
         let mut single = dispatcher();
         let (report, events) = ClusterSim::new(2).run_traced(&s, trace(&s, &shape), &mut single);
@@ -107,27 +104,6 @@ proptest! {
     }
 
     #[test]
-    fn fanout_modes_never_move_an_event(
-        shape in shape_strategy(),
-        nodes in 1usize..=4,
-    ) {
-        // Serial, pooled (the with_threads default), and a shared
-        // pool must all merge to one timeline.
-        let s = suite();
-        let threads = test_threads();
-        let run = |sim: MultiNodeSim| {
-            let mut sel = SelectorKind::LeastLoaded.build();
-            sim.run(&s, trace(&s, &shape), sel.as_mut(), |_| dispatcher())
-        };
-        let serial = run(MultiNodeSim::new(nodes, 2));
-        let pooled = run(MultiNodeSim::new(nodes, 2).with_threads(threads));
-        let shared = run(MultiNodeSim::new(nodes, 2)
-            .with_pool(std::sync::Arc::new(hrp::core::par::WorkerPool::new(threads))));
-        prop_assert_eq!(&pooled, &serial, "pooled fan-out drifted");
-        prop_assert_eq!(&shared, &serial, "shared-pool fan-out drifted");
-    }
-
-    #[test]
     fn completed_jobs_are_conserved_for_any_selector(
         shape in shape_strategy(),
         nodes in 1usize..=4,
@@ -136,9 +112,8 @@ proptest! {
         let s = suite();
         let kind = if least_loaded { SelectorKind::LeastLoaded } else { SelectorKind::RoundRobin };
         let mut sel = kind.build();
-        let report = MultiNodeSim::new(nodes, 2)
-            .with_threads(test_threads())
-            .run(&s, trace(&s, &shape), sel.as_mut(), |_| dispatcher());
+        let report =
+            MultiNodeSim::new(nodes, 2).run(&s, trace(&s, &shape), sel.as_mut(), |_| dispatcher());
         let n = shape.len();
         let mut arrived = vec![0usize; n];
         let mut started = vec![0usize; n];

@@ -4,7 +4,7 @@
 //! * draining any finite generated trace through the service — under
 //!   either cycle mode — produces a merged timeline bit-identical to a
 //!   batch `MultiNodeSim` barrier run of the same jobs, for every
-//!   selector family and any batch thread count;
+//!   selector family;
 //! * a service checkpointed at an arbitrary cycle and restored from
 //!   the `HRPS` blob finishes with exactly the report the
 //!   uninterrupted run produces — events, per-node rows, aggregate,
@@ -14,14 +14,8 @@
 //! * the admission tier (ARCHITECTURE.md contract point 9): the
 //!   per-tenant quota is never exceeded, no admitted job is lost,
 //!   ordering-only admission is digest-identical to the batch
-//!   fair-order oracle for any thread count in either cycle mode, and kill/restore reproduces the admission decision
-//!   digest bit-exactly.
-//!
-//! Set `HRP_TEST_THREADS` to pick the parallel worker count the batch
-//! oracle runs under (CI runs the suite under 1 and 4).
-
-mod common;
-use common::test_threads;
+//!   fair-order oracle in either cycle mode, and kill/restore
+//!   reproduces the admission decision digest bit-exactly.
 
 use hrp::cluster::fair::{job_cost, FairShare};
 use hrp::cluster::multinode::MultiNodeSim;
@@ -97,20 +91,15 @@ proptest! {
         );
         service.run_to_close();
         let served = service.finish();
-        for threads in [1, test_threads()] {
-            let mut sel = kind.build();
-            let batch = MultiNodeSim::new(nodes, 2)
-                .with_threads(threads)
-                .run(&s, generate(&s, &cfg), sel.as_mut(), |_| {
-                    dispatcher_for(kind, 2, werr)
-                });
-            prop_assert_eq!(&served.report.timeline.events, &batch.timeline.events,
-                "service drifted from the batch oracle ({} mode, {} threads)",
-                mode.name(), threads);
-            prop_assert_eq!(served.report.timeline.digest(), batch.timeline.digest());
-            prop_assert_eq!(&served.report.per_node, &batch.per_node);
-            prop_assert_eq!(&served.report.aggregate, &batch.aggregate);
-        }
+        let mut sel = kind.build();
+        let batch = MultiNodeSim::new(nodes, 2).run(&s, generate(&s, &cfg), sel.as_mut(), |_| {
+            dispatcher_for(kind, 2, werr)
+        });
+        prop_assert_eq!(&served.report.timeline.events, &batch.timeline.events,
+            "service drifted from the batch oracle ({} mode)", mode.name());
+        prop_assert_eq!(served.report.timeline.digest(), batch.timeline.digest());
+        prop_assert_eq!(&served.report.per_node, &batch.per_node);
+        prop_assert_eq!(&served.report.aggregate, &batch.aggregate);
         prop_assert_eq!(served.stats.decisions as usize, n_jobs);
         if mode == CycleMode::Full {
             prop_assert_eq!(served.stats.nodes_skipped, 0);
@@ -196,8 +185,7 @@ proptest! {
     // Contract point 9, ordering half: with admission on but
     // nothing to defer or reject (unlimited quota, infinite SLO),
     // the service's karma-ordered timeline is digest-identical to
-    // the batch fair-order oracle — in either cycle mode, for any
-    // batch thread count.
+    // the batch fair-order oracle — in either cycle mode.
     #[test]
     fn ordering_only_admission_is_mode_and_thread_invariant(
         kind_idx in 0usize..6,
@@ -230,18 +218,14 @@ proptest! {
             digests.push(served.report.timeline.digest());
             adm_digests.push(served.admission.expect("admission on").digest);
         }
-        for threads in [1, test_threads()] {
-            let sim = MultiNodeSim::new(nodes, 2)
-                .with_threads(threads)
-                .with_fair_order(acfg.fair_config());
-            let mut sel = SelectorKind::LeastLoaded.build();
-            let batch = sim.run(&s, generate(&s, &cfg), sel.as_mut(), |_| {
-                dispatcher_for(SelectorKind::LeastLoaded, 2, 0.0)
-            });
-            digests.push(batch.timeline.digest());
-        }
+        let sim = MultiNodeSim::new(nodes, 2).with_fair_order(acfg.fair_config());
+        let mut sel = SelectorKind::LeastLoaded.build();
+        let batch = sim.run(&s, generate(&s, &cfg), sel.as_mut(), |_| {
+            dispatcher_for(SelectorKind::LeastLoaded, 2, 0.0)
+        });
+        digests.push(batch.timeline.digest());
         prop_assert!(digests.windows(2).all(|w| w[0] == w[1]),
-            "divergent timelines across modes/threads: {:x?}", digests);
+            "divergent timelines across modes and the batch oracle: {:x?}", digests);
         prop_assert_eq!(adm_digests[0], adm_digests[1],
             "admission digest differs between cycle modes");
     }

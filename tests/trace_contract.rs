@@ -7,13 +7,9 @@
 //!   jobs is emitted, and every job respects the configured GPU bound;
 //! * `PolicySelector` job conservation: an (untrained, deterministic)
 //!   RL placement policy routed through `MultiNodeSim` arrives,
-//!   starts, and finishes every generated job exactly once, with a
-//!   thread-count-invariant timeline — extending the
-//!   `tests/multinode_contract.rs` guarantees to the generated-trace ×
-//!   RL-selector quadrant.
-
-mod common;
-use common::test_threads;
+//!   starts, and finishes every generated job exactly once —
+//!   extending the `tests/multinode_contract.rs` guarantees to the
+//!   generated-trace × RL-selector quadrant.
 
 use hrp::cluster::multinode::MultiNodeSim;
 use hrp::cluster::place::{PlacementAgent, PlacementConfig};
@@ -92,18 +88,12 @@ proptest! {
         let s = suite();
         let trace = generate(&s, &TraceConfig::new(kind, jobs, seed).max_gpus(2));
         // An untrained agent is a deterministic (random-weight) policy:
-        // conservation and thread-invariance must hold for it exactly
-        // as for the heuristics.
+        // conservation must hold for it exactly as for the heuristics.
         let mut cfg = PlacementConfig::quick();
         cfg.nodes = nodes;
         let agent = PlacementAgent::untrained(cfg);
-        let run = |threads: usize| {
-            let mut sel = agent.selector();
-            MultiNodeSim::new(nodes, 2)
-                .with_threads(threads)
-                .run(&s, trace.clone(), &mut sel, |_| dispatcher())
-        };
-        let report = run(1);
+        let mut sel = agent.selector();
+        let report = MultiNodeSim::new(nodes, 2).run(&s, trace, &mut sel, |_| dispatcher());
         let mut arrived = vec![0usize; jobs];
         let mut started = vec![0usize; jobs];
         let mut finished = vec![0usize; jobs];
@@ -128,9 +118,5 @@ proptest! {
         prop_assert_eq!(report.completed_jobs(), jobs);
         let routed: usize = report.per_node.iter().map(|p| p.jobs).sum();
         prop_assert_eq!(routed, jobs, "the policy routed every job somewhere");
-
-        // And the RL-policy timeline is invariant to the fan-out width.
-        let wide = run(test_threads());
-        prop_assert_eq!(&wide, &report, "policy timeline drifted across thread counts");
     }
 }
